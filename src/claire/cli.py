@@ -103,7 +103,12 @@ def parse_dataset_spec(spec: str) -> dict:
         out = {"kind": "tep", "path": parts[1], "fault_classes": None}
         for extra in parts[2:]:
             if extra.startswith("faults="):
-                out["fault_classes"] = [int(t) for t in extra[len("faults="):].split(",") if t]
+                codes = extra[len("faults="):]
+                try:
+                    out["fault_classes"] = [int(t) for t in codes.split(",") if t]
+                except ValueError:
+                    raise InputError(f"tep faults filter must be comma-separated "
+                                     f"integer fault codes, got {codes!r}") from None
             else:
                 raise InputError(f"unknown tep dataset option {extra!r}")
         return out
@@ -244,30 +249,29 @@ def cmd_train(cfg: dict) -> int:
                   ((e.epoch, e.recon, e.latent, e.clf, e.ent, e.total)
                    for e in model.epoch_logs))
     write_json(os.path.join(out, "preprocess_report.json"), model.report.to_json_dict())
-    if not model.svm.converged:
-        print("warning: svm pass budget exhausted before meeting the stopping rule",
-              file=sys.stderr)
+    svm = model.svm
+    if not svm.converged:
+        print(f"warning: svm update budget ({svm_cfg.max_passes} per row) ran out "
+              f"with KKT gap {svm.kkt_gap:.3g} above tol {svm_cfg.tol:g}", file=sys.stderr)
+    print(f"svm: {svm.n_sweeps} pair updates, KKT gap {svm.kkt_gap:.3g}, "
+          f"{svm.dual_coef.size} support vectors")
     print(f"wrote model.json to {out} (mode {model.mode})")
     return 0
 
 
-def _load_model(cfg: dict, args) -> tuple[TrainedModel, dict]:
-    path = args.model or os.path.join(cfg["output_dir"], "model.json")
-    model = load_bundle(path)
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return model, doc
+def _load_model(cfg: dict, args) -> TrainedModel:
+    return load_bundle(args.model or os.path.join(cfg["output_dir"], "model.json"))
 
 
-def _replay_view(model: TrainedModel, doc: dict, cfg: dict, split: str):
-    """Scaled features and labels for the requested split of the dataset,
-    using the preprocessing state stored in the bundle.
+def _replay(model: TrainedModel, cfg: dict) -> TabularDataset:
+    """Every row of the dataset, scaled with the preprocessing state stored
+    in the bundle.
     """
-    ds_cfg = cfg.get("dataset") or doc.get("dataset")
+    ds_cfg = cfg.get("dataset") or model.dataset
     if not ds_cfg:
         raise InputError("no dataset configured and none recorded in the model bundle")
     raw = load_dataset({"dataset": ds_cfg})
-    pre = doc.get("preprocess") or {}
+    pre = model.preprocess or {}
     if raw.features.shape[1] == len(model.original_names):
         # replay guard: the same missing-data census must drop the same columns
         handled, _ = data_mod.handle_missing(raw, float(pre.get("drop_threshold", 0.30)))
@@ -278,19 +282,41 @@ def _replay_view(model: TrainedModel, doc: dict, cfg: dict, split: str):
     scaled = data_mod.apply_saved_preprocessing(raw.features, model.original_names,
                                                 model.kept_names, model.medians,
                                                 model.scaler)
-    if split == "all":
-        return scaled, raw.labels
-    test_fraction = float(pre.get("test_fraction", 0.2))
-    carrier = TabularDataset(scaled, raw.labels, list(model.kept_names))
-    train, test = stratified_split(carrier, test_fraction,
-                                   substream_seed(model.seed, "split"))
-    chosen = train if split == "train" else test
-    return chosen.features, chosen.labels
+    return TabularDataset(scaled, raw.labels, list(model.kept_names))
+
+
+def _split(model: TrainedModel, rows: TabularDataset) -> tuple[TabularDataset, TabularDataset]:
+    """The train and test splits of replayed rows, as the model saw them."""
+    test_fraction = float((model.preprocess or {}).get("test_fraction", 0.2))
+    return stratified_split(rows, test_fraction, substream_seed(model.seed, "split"))
+
+
+def _replay_view(model: TrainedModel, cfg: dict, split: str):
+    """Scaled features and labels for the requested split of the dataset."""
+    rows = _replay(model, cfg)
+    if split != "all":
+        train, test = _split(model, rows)
+        rows = train if split == "train" else test
+    return rows.features, rows.labels
+
+
+def _column_index(model: TrainedModel, key: str, column) -> int:
+    """Index among the kept columns of a column given by name or index."""
+    if not isinstance(column, str):
+        if 0 <= int(column) < len(model.kept_names):
+            return int(column)
+        raise InputError(f"explain.{key} index {column} is outside the "
+                         f"{len(model.kept_names)} kept columns")
+    if column in model.kept_names:
+        return model.kept_names.index(column)
+    why = ("was dropped by preprocessing" if column in model.original_names
+           else "is not a column of the dataset")
+    raise InputError(f"explain.{key} {column!r} {why}")
 
 
 def cmd_eval(cfg: dict, args) -> int:
-    model, doc = _load_model(cfg, args)
-    features, labels = _replay_view(model, doc, cfg, args.split)
+    model = _load_model(cfg, args)
+    features, labels = _replay_view(model, cfg, args.split)
     codes = model_codes(model, features)
     from .svm import predict_labels
     preds = predict_labels(model.svm, codes)
@@ -305,17 +331,24 @@ def cmd_eval(cfg: dict, args) -> int:
 
 
 def cmd_explain(cfg: dict, args) -> int:
-    model, doc = _load_model(cfg, args)
+    model = _load_model(cfg, args)
     if model.network is None:
         raise InputError("model bundle has no encoder (RawSVM mode); nothing to explain")
-    train_x, _ = _replay_view(model, doc, cfg, "train")
-    test_x, test_labels = _replay_view(model, doc, cfg, "test")
     e = cfg["explain"]
-    n_bg = int(args.n_background or e["n_background"])
-    n_eval = int(args.n_eval or e["n_eval"])
-    n_coalitions = args.n_coalitions or e["n_coalitions"]
+
+    def flag_or_config(key):
+        value = getattr(args, key)
+        return e[key] if value is None else value
+
+    n_bg = int(flag_or_config("n_background"))
+    n_eval = int(flag_or_config("n_eval"))
+    n_coalitions = flag_or_config("n_coalitions")
     if n_coalitions is not None:
         n_coalitions = int(n_coalitions)
+    feat, color = (None if e[key] is None else _column_index(model, key, e[key])
+                   for key in ("dependence_feature", "dependence_color"))
+    train, test = _split(model, _replay(model, cfg))
+    train_x, test_x, test_labels = train.features, test.features, test.labels
     attr = explain_encoder(model.network, train_x, test_x,
                            feature_names=model.kept_names,
                            n_background=n_bg, n_eval=n_eval,
@@ -356,13 +389,9 @@ def cmd_explain(cfg: dict, args) -> int:
                    for i in range(attr.n_samples)
                    for j in range(attr.n_features)))
 
-    feat = e["dependence_feature"]
-    color = e["dependence_color"]
-    feat_idx = (ranking.order[0] if feat is None
-                else model.kept_names.index(feat) if isinstance(feat, str) else int(feat))
+    feat_idx = ranking.order[0] if feat is None else feat
     color_idx = (ranking.order[1] if color is None and len(ranking.order) > 1
-                 else feat_idx if color is None
-                 else model.kept_names.index(color) if isinstance(color, str) else int(color))
+                 else feat_idx if color is None else color)
     rows = dependence_export(attr, eval_x, int(feat_idx), int(color_idx), e["output"])
     write_csv(os.path.join(out, "dependence.csv"),
               ["feature", "feature_value", "attribution", "color_feature", "color_value"],
@@ -373,8 +402,8 @@ def cmd_explain(cfg: dict, args) -> int:
 
 
 def cmd_project(cfg: dict, args) -> int:
-    model, doc = _load_model(cfg, args)
-    features, labels = _replay_view(model, doc, cfg, args.split)
+    model = _load_model(cfg, args)
+    features, labels = _replay_view(model, cfg, args.split)
     codes = model_codes(model, features)
     projection = lda_fit(codes, labels)
     export = project_export(projection, codes, labels)

@@ -242,6 +242,8 @@ def explain_encoder(params, train_features: np.ndarray, test_features: np.ndarra
             f"n_background must be in [1, {train_features.shape[0]}], got {n_background}")
     if n_eval < 1 or n_eval > test_features.shape[0]:
         raise InputError(f"n_eval must be in [1, {test_features.shape[0]}], got {n_eval}")
+    if n_coalitions is not None and n_coalitions < 1:
+        raise InputError(f"n_coalitions must be at least 1, got {n_coalitions}")
     attr = kernel_shap(lambda rows: encode(params, rows),
                        test_features[:n_eval], train_features[:n_background],
                        n_coalitions=n_coalitions, seed=seed)

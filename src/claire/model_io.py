@@ -186,4 +186,5 @@ def load_bundle(path: str) -> TrainedModel:
         epoch_logs=[EpochLog(epoch=e["epoch"], recon=e["recon"], latent=e["latent"],
                              clf=e["clf"], ent=e["ent"], total=e["total"])
                     for e in doc.get("epoch_logs", [])],
+        dataset=doc.get("dataset"), preprocess=doc.get("preprocess"),
     )

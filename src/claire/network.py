@@ -38,7 +38,6 @@ from .errors import DegenerateDataError, NumericError, ShapeError, StateError
 from .numerics import RngStream, as_matrix
 
 LOG_CLAMP = 1e-12
-LOSS_GUARD = 1e6
 
 
 @dataclass(frozen=True)

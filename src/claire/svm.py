@@ -1,23 +1,27 @@
-"""Kernel SVM trained with a simplified sequential-minimal-optimization loop.
+"""Kernel SVM trained by sequential minimal optimization with second-order
+working-set selection (Fan, Chen & Lin 2005, the LIBSVM solver).
 
-The dual problem is solved over pairs of multipliers: the first index comes
-from a sweep over current KKT violators, the second is drawn uniformly at
-random from the remaining indices (seeded). Each accepted pair update is the
-exact maximizer of the dual restricted to that pair, clipped to the box, so
-the dual objective never decreases.
+Each step picks the pair of multipliers that most violates the KKT
+conditions to first order and promises the largest dual gain to second
+order, then moves it to the exact maximizer of the dual restricted to that
+pair, clipped to the box, so the dual objective never decreases. The
+solver stops when the two-threshold gap of Keerthi et al. 2001 falls to
+``tol``; it has no random choices.
 
 Labels are +1 / -1 inside this module. 0 / 1 mapping happens in training.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DegenerateDataError, InputError, ShapeError
-from .numerics import RngStream, as_matrix, column_mean_var
+from .numerics import as_matrix, column_mean_var
 
 SV_THRESHOLD = 1e-10
+TAU = 1e-12    # curvature floor for a pair the kernel cannot tell apart
 
 
 @dataclass(frozen=True)
@@ -114,8 +118,10 @@ class SvmModel:
     """Trained classifier: support vectors with their signed multipliers.
 
     dual_coef[i] = alpha_i * y_i for support vector i (alpha_i > 1e-10).
-    ``converged`` is False when the pass budget ran out before the stopping
-    test passed; the model is still usable.
+    ``converged`` is False when the update budget ran out before the KKT gap
+    fell to the tolerance; the model is still usable. ``n_sweeps`` counts
+    the pair updates the solver made and ``kkt_gap`` is its final gap
+    m - M. Bundles do not store the gap, so it is NaN on a loaded model.
     """
     kernel: KernelSpec
     c: float
@@ -125,6 +131,7 @@ class SvmModel:
     bias: float
     converged: bool
     n_sweeps: int
+    kkt_gap: float = math.nan
     objective_trace: np.ndarray | None = None
 
 
@@ -150,15 +157,24 @@ def dual_objective(gram: np.ndarray, y: np.ndarray, alpha: np.ndarray) -> float:
 
 def smo_train(features: np.ndarray, y: np.ndarray, kernel: KernelSpec,
               c: float = 1.0, tol: float = 1e-3, max_passes: int = 100,
-              seed: int = 0, track_objective: bool = False) -> SvmModel:
+              track_objective: bool = False) -> SvmModel:
     """Train on labels in {-1, +1}.
 
-    Stops successfully when a full scan finds no KKT violation at ``tol``,
-    or gives up (converged=False) after ``max_passes`` consecutive sweeps
-    without an accepted update, or after a hard cap of 100 * max_passes
-    sweeps. The bias is recomputed at the end from the unbounded support
-    vectors, falling back to the midpoint of the feasible interval the
-    bound multipliers imply.
+    Minimizes 0.5 a'Qa - sum(a) over 0 <= a <= C, y'a = 0, with
+    Q_ij = y_i y_j K_ij, keeping the gradient G = Qa - 1. Each update takes
+    i as the worst violator in I_up = {a < C, y = +1} | {a > 0, y = -1},
+    i.e. the row with the largest -y G, then j in I_low (the mirror set)
+    with the largest second-order gain b^2 / a, where b is the violation of
+    the pair and a = K_ii + K_jj - 2 K_ij its curvature. The pair moves to
+    the clipped maximizer of the dual along y_i a_i + y_j a_j = const, and
+    G follows in O(n) from Gram rows i and j.
+
+    Stops successfully (converged=True) when the gap m - M between the
+    largest -y G over I_up and the smallest over I_low is at most ``tol``,
+    or gives up (converged=False) after ``max_passes * n`` pair updates.
+    The bias is recomputed at the end from the unbounded support vectors,
+    falling back to the midpoint of the feasible interval the bound
+    multipliers imply.
     """
     x = as_matrix(features, "training features")
     y = np.asarray(y, dtype=np.float64).reshape(-1)
@@ -170,80 +186,78 @@ def smo_train(features: np.ndarray, y: np.ndarray, kernel: KernelSpec,
             f"training needs both classes -1 and +1, got {sorted(classes)}")
     if c <= 0:
         raise InputError(f"penalty C must be positive, got {c}")
+    if tol <= 0:
+        raise InputError(f"stopping tolerance must be positive, got {tol}")
 
     kernel = resolve_kernel(kernel, x)
     n = x.shape[0]
     gram = kernel_matrix(kernel, x, x)
+    diag = gram.diagonal()
+    positive = y > 0
     alpha = np.zeros(n)
-    b = 0.0
-    rng = RngStream(seed)
+    grad = -np.ones(n)
     objective_trace: list[float] = [] if track_objective else None
 
     converged = False
-    quiet_sweeps = 0
-    sweeps = 0
-    hard_cap = 100 * max_passes
-    while sweeps < hard_cap:
-        sweeps += 1
-        f = (alpha * y) @ gram + b     # exact refresh, then incremental updates
-        err = f - y
-        r = y * err
-        violators = np.flatnonzero(((r < -tol) & (alpha < c)) | ((r > tol) & (alpha > 0)))
-        if violators.size == 0:
+    updates = 0
+    while True:
+        score = -y * grad
+        up = np.where(positive, alpha < c, alpha > 0)
+        low = np.where(positive, alpha > 0, alpha < c)
+        score_up = np.where(up, score, -np.inf)
+        i = int(np.argmax(score_up))
+        top = score_up[i]
+        gap = float(top - np.where(low, score, np.inf).min())
+        if gap <= tol:
             converged = True
             break
-        changed = 0
-        for i in violators:
-            e_i = f[i] - y[i]
-            r_i = y[i] * e_i
-            if not ((r_i < -tol and alpha[i] < c) or (r_i > tol and alpha[i] > 0)):
-                continue   # fixed by an earlier update this sweep
-            j = int(rng.integers(0, n - 1))
-            if j >= i:
-                j += 1
-            e_j = f[j] - y[j]
-            if y[i] != y[j]:
-                lo = max(0.0, alpha[j] - alpha[i])
-                hi = min(c, c + alpha[j] - alpha[i])
-            else:
-                lo = max(0.0, alpha[i] + alpha[j] - c)
-                hi = min(c, alpha[i] + alpha[j])
-            if lo >= hi:
-                continue
-            eta = 2.0 * gram[i, j] - gram[i, i] - gram[j, j]
-            if eta >= 0:
-                continue   # non-concave direction (possible for sigmoid kernels)
-            a_j = alpha[j] - y[j] * (e_i - e_j) / eta
-            a_j = min(max(a_j, lo), hi)
-            if abs(a_j - alpha[j]) < 1e-12:
-                continue
-            a_i = alpha[i] + y[i] * y[j] * (alpha[j] - a_j)
+        if updates >= max_passes * n:
+            break
 
-            b1 = b - e_i - y[i] * (a_i - alpha[i]) * gram[i, i] \
-                - y[j] * (a_j - alpha[j]) * gram[i, j]
-            b2 = b - e_j - y[i] * (a_i - alpha[i]) * gram[i, j] \
-                - y[j] * (a_j - alpha[j]) * gram[j, j]
-            if 0 < a_i < c:
-                b_new = b1
-            elif 0 < a_j < c:
-                b_new = b2
-            else:
-                b_new = 0.5 * (b1 + b2)
+        # j: the I_low row whose pair with i promises the largest decrease
+        k_i = gram[i]
+        curv = diag[i] + diag - 2.0 * k_i
+        curv[curv <= 0] = TAU
+        viol = top - score
+        gain = np.where(low & (viol > 0), viol * viol / curv, -1.0)
+        j = int(np.argmax(gain))
 
-            f = f + y[i] * (a_i - alpha[i]) * gram[i] \
-                + y[j] * (a_j - alpha[j]) * gram[j] + (b_new - b)
-            alpha[i], alpha[j], b = a_i, a_j, b_new
-            changed += 1
-            if track_objective:
-                objective_trace.append(dual_objective(gram, y, alpha))
-        if changed == 0:
-            quiet_sweeps += 1
-            if quiet_sweeps >= max_passes:
-                break
+        old_i, old_j = alpha[i], alpha[j]
+        quad = curv[j]
+        if y[i] != y[j]:
+            step = (-grad[i] - grad[j]) / quad
+            diff = old_i - old_j
+            a_i, a_j = old_i + step, old_j + step
+            if diff > 0:
+                if a_j < 0:
+                    a_i, a_j = diff, 0.0
+                elif a_i > c:
+                    a_i, a_j = c, c - diff
+            elif a_i < 0:
+                a_i, a_j = 0.0, -diff
+            elif a_j > c:
+                a_i, a_j = c + diff, c
         else:
-            quiet_sweeps = 0
+            step = (grad[i] - grad[j]) / quad
+            total = old_i + old_j
+            a_i, a_j = old_i - step, old_j + step
+            if total > c:
+                if a_i > c:
+                    a_i, a_j = c, total - c
+                elif a_j > c:
+                    a_i, a_j = total - c, c
+            elif a_j < 0:
+                a_i, a_j = total, 0.0
+            elif a_i < 0:
+                a_i, a_j = 0.0, total
+        alpha[i], alpha[j] = a_i, a_j
+        # Q rows on demand: Q_k = y_k * y * K_k
+        grad += y * (y[i] * (a_i - old_i) * k_i + y[j] * (a_j - old_j) * gram[j])
+        updates += 1
+        if track_objective:
+            objective_trace.append(0.5 * float(alpha.sum()) - 0.5 * float(alpha @ grad))
 
-    # final bias per the KKT system, independent of the running estimate
+    # final bias per the KKT system
     g = (alpha * y) @ gram
     unbounded = (alpha > 1e-8 * c) & (alpha < c * (1 - 1e-8))
     if unbounded.any():
@@ -269,7 +283,7 @@ def smo_train(features: np.ndarray, y: np.ndarray, kernel: KernelSpec,
         support_vectors=x[sv_mask].copy(),
         dual_coef=(alpha * y)[sv_mask],
         support_indices=np.flatnonzero(sv_mask),
-        bias=b, converged=converged, n_sweeps=sweeps,
+        bias=b, converged=converged, n_sweeps=updates, kkt_gap=gap,
         objective_trace=np.array(objective_trace) if track_objective else None,
     )
     return model

@@ -162,11 +162,11 @@ def extract_latent(params: NetworkParams, ds: TabularDataset) -> LatentDataset:
     return LatentDataset(codes=encode(params, ds.features), labels=ds.labels.copy())
 
 
-def train_phase2(latents: LatentDataset, cfg: SvmConfig, seed: int = 42) -> SvmModel:
+def train_phase2(latents: LatentDataset, cfg: SvmConfig) -> SvmModel:
     """Kernel SVM on frozen codes. Labels 0/1 map to -1/+1."""
     y = 2.0 * latents.labels.astype(np.float64) - 1.0
     return smo_train(latents.codes, y, cfg.kernel, c=cfg.c, tol=cfg.tol,
-                     max_passes=cfg.max_passes, seed=substream_seed(seed, "smo"))
+                     max_passes=cfg.max_passes)
 
 
 @dataclass
@@ -183,6 +183,10 @@ class TrainedModel:
     scaler: object
     report: object
     epoch_logs: list[EpochLog] = field(default_factory=list)
+    # what the CLI records next to a bundle so later commands can replay the
+    # split: the dataset spec and the preprocessing knobs
+    dataset: dict | None = None
+    preprocess: dict | None = None
 
 
 def train_pipeline(prepared: PreparedData, train_cfg: TrainConfig,
@@ -197,7 +201,7 @@ def train_pipeline(prepared: PreparedData, train_cfg: TrainConfig,
     else:
         params, logs = train_phase1(prepared.train, train_cfg)
         latents = extract_latent(params, prepared.train)
-    svm_model = train_phase2(latents, svm_cfg, seed=train_cfg.seed)
+    svm_model = train_phase2(latents, svm_cfg)
     return TrainedModel(mode=train_cfg.mode, seed=train_cfg.seed, network=params,
                         svm=svm_model, train_config=train_cfg,
                         original_names=prepared.original_names,

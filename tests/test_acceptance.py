@@ -156,11 +156,11 @@ def test_shapley_exact_oracle(capsys):
 
 def test_svm_solver_oracles(capsys):
     t0 = time.perf_counter()
-    m_default = smo_train(XOR_X, XOR_Y, KernelSpec.rbf(1.0), c=10.0, seed=0)
+    m_default = smo_train(XOR_X, XOR_Y, KernelSpec.rbf(1.0), c=10.0)
     acc_ok = predict_labels(m_default, XOR_X).tolist() == [1, 1, 0, 0]
     kkt_ok = kkt_violation(m_default, XOR_X, XOR_Y) <= 1e-3
 
-    m_tight = smo_train(XOR_X, XOR_Y, KernelSpec.rbf(1.0), c=10.0, tol=1e-5, seed=0)
+    m_tight = smo_train(XOR_X, XOR_Y, KernelSpec.rbf(1.0), c=10.0, tol=1e-5)
     xor_alphas = full_alphas(m_tight, 4)
     grid_xor, _ = grid_qp_duals(oracle_gram(XOR_X, "rbf", 1.0), XOR_Y, 10.0)
     xor_dev = max(float(np.abs(xor_alphas - grid_xor).max()),
@@ -168,7 +168,7 @@ def test_svm_solver_oracles(capsys):
 
     x4 = np.array([[0.0, 0.2], [0.3, -0.1], [1.2, 1.0], [0.9, 1.4]])
     y4 = np.array([-1.0, -1.0, 1.0, 1.0])
-    m4 = smo_train(x4, y4, KernelSpec.linear(), c=5.0, tol=1e-5, seed=0)
+    m4 = smo_train(x4, y4, KernelSpec.linear(), c=5.0, tol=1e-5)
     grid4, _ = grid_qp_duals(oracle_gram(x4, "linear"), y4, 5.0)
     lin_dev = float(np.abs(full_alphas(m4, 4) - grid4).max())
 

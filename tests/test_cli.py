@@ -268,3 +268,72 @@ def test_eval_without_any_dataset_is_input_error(workspace, trained, capsys):
                "--out", str(workspace["root"] / "never5")])
     assert rc == 2
     assert "no dataset configured" in capsys.readouterr().err
+
+
+def _assert_one_line_input_error(rc, err, *needles):
+    assert rc == 2
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    for needle in needles:
+        assert needle in err
+
+
+def test_explain_reads_dataset_once(workspace, trained, monkeypatch):
+    import claire.data as data_mod
+    calls = []
+    real = data_mod.load_labeled_csv
+    monkeypatch.setattr(data_mod, "load_labeled_csv",
+                        lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    rc = main(["explain", "--dataset", workspace["data"], "--config",
+               workspace["config"], "--seed", "5",
+               "--model", os.path.join(trained, "model.json"),
+               "--out", str(workspace["root"] / "explain_once")])
+    assert rc == 0
+    assert len(calls) == 1
+
+
+def test_bad_tep_fault_filter_is_input_error(workspace, capsys):
+    rc = main(["train", "--dataset", "tep:d.csv:faults=x", "--out",
+               str(workspace["root"] / "never6")])
+    _assert_one_line_input_error(rc, capsys.readouterr().err, "faults", "'x'")
+
+
+@pytest.mark.parametrize("flag", ["--n-eval", "--n-background", "--n-coalitions"])
+def test_explain_rejects_zero_budgets(workspace, trained, capsys, flag):
+    rc = main(["explain", "--dataset", workspace["data"], "--config",
+               workspace["config"], "--seed", "5",
+               "--model", os.path.join(trained, "model.json"),
+               "--out", str(workspace["root"] / "zero_budget"), flag, "0"])
+    _assert_one_line_input_error(rc, capsys.readouterr().err, flag[2:].replace("-", "_"))
+
+
+@pytest.mark.parametrize("key,column", [("dependence_feature", "h"),
+                                        ("dependence_feature", "nope"),
+                                        ("dependence_color", "nope"),
+                                        ("dependence_color", 9)])
+def test_explain_rejects_unknown_dependence_column(workspace, trained, capsys, key, column):
+    config = workspace["root"] / f"dep_{key}_{column}.json"
+    config.write_text(json.dumps({"format": "claire-config/1",
+                                  "explain": {"n_background": 20, "n_eval": 5,
+                                              key: column}}))
+    rc = main(["explain", "--dataset", workspace["data"], "--config", str(config),
+               "--seed", "5", "--model", os.path.join(trained, "model.json"),
+               "--out", str(workspace["root"] / "bad_dependence")])
+    _assert_one_line_input_error(rc, capsys.readouterr().err, key, repr(column))
+
+
+def test_default_process_train_converges(tmp_path, capsys):
+    from claire.synthetic import make_process_dataset, write_process_file
+    x, fault = make_process_dataset()
+    path = str(tmp_path / "process.csv")
+    write_process_file(path, x, fault)
+    rc = main(["train", "--dataset", f"tep:{path}", "--seed", "1",
+               "--out", str(tmp_path / "out")])
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert "warning" not in captured.err
+    svm = json.load(open(tmp_path / "out" / "model.json"))["svm"]
+    assert svm["converged"] is True
+    line = next(l for l in captured.out.splitlines() if l.startswith("svm:"))
+    gap = float(line.split("KKT gap ")[1].split(",")[0])
+    assert 0.0 <= gap <= 1e-3

@@ -106,7 +106,7 @@ def test_two_point_hand_solution():
     # x = -1, +1 with matching labels: alpha = (0.5, 0.5), b = 0 exactly
     x = np.array([[-1.0], [1.0]])
     y = np.array([-1.0, 1.0])
-    m = smo_train(x, y, KernelSpec.linear(), c=10.0, seed=0)
+    m = smo_train(x, y, KernelSpec.linear(), c=10.0)
     assert m.converged
     assert np.allclose(full_alphas(m, 2), 0.5, atol=1e-10)
     assert abs(m.bias) <= 1e-10
@@ -115,7 +115,7 @@ def test_two_point_hand_solution():
 
 
 def test_xor_perfect_accuracy_and_kkt():
-    m = smo_train(XOR_X, XOR_Y, KernelSpec.rbf(1.0), c=10.0, seed=0)
+    m = smo_train(XOR_X, XOR_Y, KernelSpec.rbf(1.0), c=10.0)
     assert m.converged
     assert predict_labels(m, XOR_X).tolist() == [1, 1, 0, 0]
     assert kkt_violation(m, XOR_X, XOR_Y) <= 1e-3
@@ -124,7 +124,7 @@ def test_xor_perfect_accuracy_and_kkt():
 
 
 def test_xor_duals_match_closed_form_and_grid():
-    m = smo_train(XOR_X, XOR_Y, KernelSpec.rbf(1.0), c=10.0, tol=1e-5, seed=0)
+    m = smo_train(XOR_X, XOR_Y, KernelSpec.rbf(1.0), c=10.0, tol=1e-5)
     a = full_alphas(m, 4)
     assert np.abs(a - XOR_ALPHA).max() <= 1e-5
     assert abs(m.bias) <= 1e-9
@@ -136,7 +136,7 @@ def test_xor_duals_match_closed_form_and_grid():
 def test_linear_four_point_duals_match_grid():
     x = np.array([[0.0, 0.2], [0.3, -0.1], [1.2, 1.0], [0.9, 1.4]])
     y = np.array([-1.0, -1.0, 1.0, 1.0])
-    m = smo_train(x, y, KernelSpec.linear(), c=5.0, tol=1e-5, seed=0)
+    m = smo_train(x, y, KernelSpec.linear(), c=5.0, tol=1e-5)
     assert m.converged
     a = full_alphas(m, 4)
     gram = oracle_gram(x, "linear")
@@ -149,7 +149,7 @@ def test_bound_hitting_duals_match_grid():
     # interleaved points force two multipliers onto the C bound
     x = np.array([[0.0], [0.45], [0.55], [1.0]])
     y = np.array([-1.0, 1.0, -1.0, 1.0])
-    m = smo_train(x, y, KernelSpec.rbf(1.0), c=2.0, seed=0)
+    m = smo_train(x, y, KernelSpec.rbf(1.0), c=2.0)
     a = full_alphas(m, 4)
     grid, _ = grid_qp_duals(oracle_gram(x, "rbf", 1.0), y, 2.0)
     assert np.abs(a - grid).max() <= 1e-5
@@ -167,9 +167,9 @@ def _cloud_problem(n_per=15, offset=1.5, std=0.3, seed=11):
 
 def test_duplicating_training_rows_keeps_decisions():
     x, y, rng = _cloud_problem()
-    m1 = smo_train(x, y, KernelSpec.rbf(0.5), c=3.0, seed=0)
+    m1 = smo_train(x, y, KernelSpec.rbf(0.5), c=3.0)
     m2 = smo_train(np.vstack([x, x]), np.hstack([y, y]), KernelSpec.rbf(0.5),
-                   c=3.0, seed=0)
+                   c=3.0)
     probe = rng.normal(0, 1.2, (60, 3))
     d1 = decision_function(m1, probe)
     d2 = decision_function(m2, probe)
@@ -179,15 +179,33 @@ def test_duplicating_training_rows_keeps_decisions():
 
 def test_dual_objective_never_decreases():
     x, y, _ = _cloud_problem()
-    m = smo_train(x, y, KernelSpec.rbf(0.5), c=3.0, seed=0, track_objective=True)
+    m = smo_train(x, y, KernelSpec.rbf(0.5), c=3.0, track_objective=True)
     trace = m.objective_trace
     assert trace is not None and len(trace) > 10
     assert np.diff(trace).min() >= -1e-9
     assert trace[-1] > trace[0]
 
 
+def test_objective_trace_matches_recomputed_dual():
+    x, y, _ = _cloud_problem()
+    m = smo_train(x, y, KernelSpec.rbf(0.5), c=3.0, track_objective=True)
+    gram = oracle_gram(x, "rbf", 0.5)
+    final = dual_objective(gram, y, full_alphas(m, len(y)))
+    assert m.objective_trace[-1] == pytest.approx(final, rel=1e-9)
+    assert len(m.objective_trace) == m.n_sweeps
+
+
+def test_converges_below_tolerance():
+    x, y, _ = _cloud_problem(offset=0.4, std=0.5)    # overlapping: bound multipliers
+    for tol in (1e-3, 1e-6):
+        m = smo_train(x, y, KernelSpec.rbf(0.5), c=3.0, tol=tol)
+        assert m.converged
+        assert 0.0 <= m.kkt_gap <= tol
+        assert kkt_violation(m, x, y) <= tol
+
+
 def test_objective_trace_off_by_default():
-    m = smo_train(XOR_X, XOR_Y, KernelSpec.rbf(1.0), c=10.0, seed=0)
+    m = smo_train(XOR_X, XOR_Y, KernelSpec.rbf(1.0), c=10.0)
     assert m.objective_trace is None
 
 
@@ -196,15 +214,16 @@ def test_gives_up_with_converged_false():
     rng_y = np.random.default_rng(4)
     x = rng_x.uniform(0, 1, (40, 2))
     y = np.where(rng_y.uniform(size=40) < 0.5, 1.0, -1.0)  # pure noise labels
-    m = smo_train(x, y, KernelSpec.rbf(50.0), c=1000.0, tol=1e-6, max_passes=1, seed=0)
+    m = smo_train(x, y, KernelSpec.rbf(50.0), c=1000.0, tol=1e-6, max_passes=1)
     assert not m.converged
-    assert m.n_sweeps == 100                         # the 100 * max_passes hard cap
+    assert m.n_sweeps == 40                          # budget: max_passes * n updates
+    assert m.kkt_gap > 1e-6
 
 
 def test_training_determinism():
     x, y, _ = _cloud_problem()
-    m1 = smo_train(x, y, KernelSpec.rbf(0.5), c=3.0, seed=42)
-    m2 = smo_train(x, y, KernelSpec.rbf(0.5), c=3.0, seed=42)
+    m1 = smo_train(x, y, KernelSpec.rbf(0.5), c=3.0)
+    m2 = smo_train(x, y, KernelSpec.rbf(0.5), c=3.0)
     assert np.array_equal(m1.dual_coef, m2.dual_coef)
     assert m1.bias == m2.bias
     assert np.array_equal(m1.support_indices, m2.support_indices)

@@ -24,7 +24,7 @@ def test_claire_smoke_learns_the_clouds(two_cloud_dataset):
     assert logs[-1].total < logs[0].total
 
     latents = extract_latent(params, two_cloud_dataset)
-    svm = train_phase2(latents, SvmConfig(kernel=KernelSpec.rbf()), seed=cfg.seed)
+    svm = train_phase2(latents, SvmConfig(kernel=KernelSpec.rbf()))
     rep = compute_metrics(two_cloud_dataset.labels, predict_labels(svm, latents.codes))
     assert rep.accuracy == 1.0
     assert lda_fit(latents.codes, two_cloud_dataset.labels).dprime > 3.0
@@ -116,8 +116,8 @@ def test_phase2_determinism(two_cloud_dataset):
                       hidden_widths=[8], seed=3)
     params, _ = train_phase1(two_cloud_dataset, cfg)
     latents = extract_latent(params, two_cloud_dataset)
-    m1 = train_phase2(latents, SvmConfig(), seed=3)
-    m2 = train_phase2(latents, SvmConfig(), seed=3)
+    m1 = train_phase2(latents, SvmConfig())
+    m2 = train_phase2(latents, SvmConfig())
     assert np.array_equal(m1.dual_coef, m2.dual_coef)
     assert m1.bias == m2.bias
 
