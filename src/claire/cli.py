@@ -26,7 +26,7 @@ from .errors import (ClaireError, ConditioningError, DegenerateDataError,
                      DivergenceError, InputError, NumericError, ShapeError, StateError)
 from .evaluate import compute_metrics, lda_fit, project_export
 from .explain import (class_conditional_importance, dependence_export, explain_encoder,
-                      global_importance)
+                      explain_plan, global_importance)
 from .model_io import bundle_dict, load_bundle
 from .network import LossWeights
 from .numerics import substream_seed
@@ -349,6 +349,10 @@ def cmd_explain(cfg: dict, args) -> int:
                    for key in ("dependence_feature", "dependence_color"))
     train, test = _split(model, _replay(model, cfg))
     train_x, test_x, test_labels = train.features, test.features, test.labels
+    per_row = explain_plan(train_x.shape[0], test_x.shape[0], test_x.shape[1],
+                           n_bg, n_eval, n_coalitions)
+    print(f"explain: {n_eval} rows x {per_row} coalitions x {n_bg} background rows "
+          f"= {n_eval * per_row * n_bg} encoder rows")
     attr = explain_encoder(model.network, train_x, test_x,
                            feature_names=model.kept_names,
                            n_background=n_bg, n_eval=n_eval,

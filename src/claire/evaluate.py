@@ -109,6 +109,12 @@ def lda_fit(z: np.ndarray, labels: np.ndarray, ridge: float = 1e-8) -> LdaProjec
     if z0.shape[0] < 2 or z1.shape[0] < 2:
         raise DegenerateDataError(
             f"discriminant fit needs >= 2 rows per class, got {z0.shape[0]} and {z1.shape[0]}")
+    if z.shape[0] - 2 < z.shape[1]:
+        # the pooled scatter has rank at most n0 + n1 - 2; below the
+        # dimension the direction and d' come from the ridge alone
+        raise DegenerateDataError(
+            f"discriminant fit on {z.shape[0]} rows in {z.shape[1]} dimensions is "
+            f"rank-deficient: it needs at least {z.shape[1] + 2} rows")
     mu0 = z0.mean(axis=0)
     mu1 = z1.mean(axis=0)
     c0 = z0 - mu0

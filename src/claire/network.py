@@ -67,17 +67,14 @@ class Activation:
 
 LEAKY = Activation("leaky_relu", 0.01)
 SIGMOID = Activation("sigmoid")
-LINEAR = Activation("linear")
 
 
 def sigmoid(a: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    out = np.empty_like(a, dtype=np.float64)
-    pos = a >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
-    ea = np.exp(a[~pos])
-    out[~pos] = ea / (1.0 + ea)
-    return out
+    """Numerically stable logistic function in one pass: exp(-|a|) never
+    overflows, and each side divides by the same 1 + exp(-|a|)."""
+    e = np.exp(-np.abs(a))
+    denom = 1.0 + e
+    return np.where(a >= 0, 1.0 / denom, e / denom)
 
 
 @dataclass
@@ -275,6 +272,33 @@ def encode(params: NetworkParams, x: np.ndarray) -> np.ndarray:
     """Inference-mode latent codes."""
     z, _ = encoder_forward(params, x, training=False)
     return z
+
+
+FoldedLayer = tuple[np.ndarray, np.ndarray, Activation]      # weights, bias, activation
+
+
+def fold_encoder(params: NetworkParams) -> tuple[list[FoldedLayer], float]:
+    """The inference-mode encoder as one affine map and activation per layer.
+
+    Inference batch norm is affine, so it folds into its layer's weights and
+    bias; each dropout keep scales the activations that the next layer's
+    weights read, so it folds into those weights. Returns the (weights,
+    bias, activation) layers and the last layer's keep, which scales the
+    output: encode(x) equals out_scale * h after h = act(h @ W.T + b) per
+    layer, up to rounding.
+    """
+    layers = []
+    scale = 1.0
+    for layer in params.encoder:
+        weights, bias = layer.weights * scale, layer.bias
+        bn = layer.batch_norm
+        if bn is not None:
+            gain = bn.gamma / np.sqrt(bn.running_var + bn.epsilon)
+            weights = weights * gain[:, None]
+            bias = (bias - bn.running_mean) * gain + bn.beta
+        layers.append((weights, bias, layer.activation))
+        scale = layer.dropout.keep if layer.dropout is not None else 1.0
+    return layers, scale
 
 
 def reconstruct(params: NetworkParams, x: np.ndarray) -> np.ndarray:

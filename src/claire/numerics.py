@@ -29,17 +29,6 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
     return np.ascontiguousarray(out)
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product of two dense matrices."""
-    a = as_matrix(a, "left operand")
-    b = as_matrix(b, "right operand")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(
-            f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}: "
-            "inner dimensions differ")
-    return a @ b
-
-
 def column_mean_var(m) -> tuple[np.ndarray, np.ndarray]:
     """Per-column mean and population variance (divisor = row count)."""
     m = as_matrix(m)
@@ -115,6 +104,3 @@ class RngStream:
     def bernoulli(self, p: float, shape) -> np.ndarray:
         """0/1 float mask with P(1) = p."""
         return (self._gen.random(size=shape) < p).astype(np.float64)
-
-    def spawn(self, name: str) -> "RngStream":
-        return RngStream(substream_seed(self.seed, name))

@@ -278,6 +278,39 @@ def _assert_one_line_input_error(rc, err, *needles):
         assert needle in err
 
 
+def test_explain_prints_its_plan_first(workspace, trained, capsys):
+    rc = main(["explain", "--dataset", workspace["data"], "--config",
+               workspace["config"], "--seed", "5",
+               "--model", os.path.join(trained, "model.json"),
+               "--out", str(workspace["root"] / "explain_plan")])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    # 5 rows, 4 features -> 2^4 - 2 coalitions, 20 background rows
+    plan = lines.index("explain: 5 rows x 14 coalitions x 20 background rows "
+                       "= 1400 encoder rows")
+    assert plan < next(i for i, l in enumerate(lines)
+                       if l.startswith("wrote attribution exports"))
+
+
+def test_project_refuses_rank_deficient_fit(tmp_path, capsys):
+    # RawSVM on 30 columns leaves 8 test rows: too few for the discriminant
+    rng = np.random.default_rng(9)
+    path = tmp_path / "wide.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("label," + ",".join(f"c{j}" for j in range(30)) + "\n")
+        for i in range(40):
+            label = i % 2
+            row = np.clip(rng.normal(0.3 + 0.4 * label, 0.05, 30), 0, 1)
+            fh.write(f"{label}," + ",".join(repr(float(v)) for v in row) + "\n")
+    out = str(tmp_path / "out")
+    assert main(["train", "--dataset", f"csv:{path}", "--seed", "3", "--out", out,
+                 "--mode", "RawSVM"]) == 0
+    capsys.readouterr()
+    rc = main(["project", "--dataset", f"csv:{path}", "--seed", "3", "--out", out])
+    _assert_one_line_input_error(rc, capsys.readouterr().err,
+                                 "8 rows in 30 dimensions", "rank-deficient")
+
+
 def test_explain_reads_dataset_once(workspace, trained, monkeypatch):
     import claire.data as data_mod
     calls = []

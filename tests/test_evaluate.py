@@ -96,6 +96,16 @@ def test_lda_validation():
         lda_fit(z, np.array([0, 1, 1]))
 
 
+def test_lda_rejects_rank_deficient_scatter():
+    # the pooled within-class scatter has rank at most n0 + n1 - 2
+    rng = np.random.default_rng(8)
+    z = rng.normal(size=(10, 9))
+    labels = np.repeat([0, 1], 5)
+    with pytest.raises(DegenerateDataError, match="10 rows in 9 dimensions"):
+        lda_fit(z, labels)
+    assert np.isfinite(lda_fit(z[:, :8], labels).dprime)   # rank 8 = dimension
+
+
 def test_project_export_rows_and_summary():
     rng = np.random.default_rng(3)
     z = np.vstack([rng.normal(0, 0.2, (50, 2)), rng.normal(1.5, 0.2, (50, 2))])

@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 from claire.errors import InputError, ShapeError
-from claire.explain import (AttributionTensor, EXHAUSTIVE_LIMIT, additivity_gap,
-                            class_conditional_importance, dependence_export,
-                            explain_encoder, global_importance, kernel_shap,
-                            shapley_kernel_weight)
-from claire.network import build_network, encode
+from claire.explain import (AttributionTensor, EXHAUSTIVE_LIMIT, _coalition_values,
+                            _encoder_coalition_values, _enumerate_all, _sample_coalitions,
+                            additivity_gap, class_conditional_importance, coalition_count,
+                            dependence_export, explain_encoder, global_importance,
+                            kernel_shap, shapley_kernel_weight)
+from claire.network import build_network, encode, fold_encoder
 from claire.numerics import RngStream
 
 
@@ -148,13 +149,90 @@ def test_explain_encoder_wires_the_network():
     attr = explain_encoder(net, train, test, feature_names=list("abcdef"),
                            n_background=4, n_eval=2, seed=5)
     direct = kernel_shap(lambda rows: encode(net, rows), test[:2], train[:4], seed=5)
-    assert np.array_equal(attr.values, direct.values)
+    # coalition rows are summed in another order than encode's, so the two
+    # agree to rounding, not bit for bit
+    assert np.abs(attr.values - direct.values).max() <= 1e-12
+    assert np.array_equal(attr.base_values, direct.base_values)
     assert attr.feature_names == list("abcdef")
     assert attr.n_samples == 2 and attr.n_features == 6 and attr.n_outputs == 3
     with pytest.raises(InputError, match="n_background"):
         explain_encoder(net, train, test, n_background=31, n_eval=2)
     with pytest.raises(InputError, match="n_eval"):
         explain_encoder(net, train, test, n_background=4, n_eval=11)
+
+
+def trained_like_encoder(d, seed):
+    """An encoder whose batch norm and biases are far from their initial
+    values, so folding them is not a no-op."""
+    net = build_network(d, [7, 5], 4, RngStream(seed), dropout_keep=0.7)
+    rng = np.random.default_rng(seed)
+    for layer in net.encoder:
+        bn = layer.batch_norm
+        bn.gamma = rng.uniform(0.5, 1.5, bn.gamma.shape)
+        bn.beta = rng.normal(0.0, 0.2, bn.beta.shape)
+        bn.running_mean = rng.normal(0.0, 0.5, bn.beta.shape)
+        bn.running_var = rng.uniform(0.1, 2.0, bn.beta.shape)
+        layer.bias = rng.normal(0.0, 0.1, layer.bias.shape)
+    return net
+
+
+@pytest.mark.parametrize("d", [5, 18])
+def test_encoder_coalition_values_match_masked_rows(d):
+    net = trained_like_encoder(d, 40 + d)
+    rng = np.random.default_rng(d)
+    background = rng.uniform(0, 1, size=(7, d))
+    x = rng.uniform(0, 1, size=d)
+    if d <= EXHAUSTIVE_LIMIT:
+        coalitions, _ = _enumerate_all(d)
+    else:
+        coalitions, _ = _sample_coalitions(d, 300, RngStream(4))
+    sizes = {len(c) for c in coalitions}
+    # both the small-side and the complement branch, and the tie at d / 2
+    assert min(sizes) < d / 2 < max(sizes) and (d % 2 or d // 2 in sizes)
+    got = _encoder_coalition_values(fold_encoder(net), x, background, coalitions)
+    want = _coalition_values(lambda rows: encode(net, rows), x, background, coalitions, 4)
+    assert got.shape == want.shape == (len(coalitions), 4)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_encoder_coalition_values_chunked_like_one_batch(monkeypatch):
+    import claire.explain as explain_mod
+    d = 30
+    net = trained_like_encoder(d, 50)
+    rng = np.random.default_rng(51)
+    background = rng.uniform(0, 1, size=(6, d))
+    x = rng.uniform(0, 1, size=d)
+    coalitions, _ = _sample_coalitions(d, 200, RngStream(5))
+    whole = _encoder_coalition_values(fold_encoder(net), x, background, coalitions)
+    monkeypatch.setattr(explain_mod, "ENCODER_ROWS", 6 * 3)
+    monkeypatch.setattr(explain_mod, "ENCODER_GATHER", 7 * 20)
+    chunked = _encoder_coalition_values(fold_encoder(net), x, background, coalitions)
+    assert np.abs(chunked - whole).max() <= 1e-12 * np.abs(whole).max()
+
+
+def test_explain_encoder_matches_exact_shapley():
+    d = 6
+    net = trained_like_encoder(d, 60)
+    rng = np.random.default_rng(61)
+    train = rng.uniform(0, 1, size=(12, d))
+    test = rng.uniform(0, 1, size=(3, d))
+    attr = explain_encoder(net, train, test, n_background=5, n_eval=3)
+    f = lambda rows: encode(net, rows)
+    for i in range(3):
+        phi, base = exact_shapley(f, test[i], train[:5])
+        assert np.abs(attr.values[i] - phi).max() <= 1e-9
+        assert np.abs(attr.base_values - base).max() <= 1e-12
+    assert additivity_gap(attr, f, test[:3]) <= 1e-12
+
+
+def test_coalition_count():
+    assert coalition_count(6) == 62
+    assert coalition_count(6, 10) == 62              # exhaustive ignores the budget
+    assert coalition_count(560) == 2 * 560 + 2048
+    assert coalition_count(20, 500) == 500
+    assert coalition_count(14, 20_000) == 2**14 - 2
+    with pytest.raises(InputError, match="d \\+ 2"):
+        coalition_count(20, 21)
 
 
 def test_global_importance_ranking():

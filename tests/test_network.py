@@ -9,6 +9,7 @@ from claire.network import (LEAKY, Activation, AdamState, BatchNormState,
                             DenseLayer, DropoutState, LossComponents, LossWeights,
                             adam_step, backward, batch_losses, batchnorm_forward,
                             build_network, classify, corrupt, dense_forward, encode,
+                            fold_encoder,
                             loss_classification, loss_entropy, loss_latent_variance,
                             loss_reconstruction, named_parameters, reconstruct,
                             sigmoid, total_loss, training_forward)
@@ -26,6 +27,70 @@ def test_activations_hand_values():
     big = sigmoid(np.array([800.0, -800.0]))
     assert big[0] == pytest.approx(1.0) and big[1] == pytest.approx(0.0)
     assert np.isfinite(big).all()
+
+
+def test_sigmoid_matches_masked_formula_bit_for_bit():
+    def masked(a):
+        out = np.empty_like(a)
+        pos = a >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
+        ea = np.exp(a[~pos])
+        out[~pos] = ea / (1.0 + ea)
+        return out
+
+    edges = np.array([0.0, -0.0, 745.0, -745.0, 800.0, -800.0, 1e-300, -1e-300,
+                      np.inf, -np.inf, 36.7, -36.7, 709.8, -709.8])
+    a = np.concatenate([edges, np.random.default_rng(3).normal(0.0, 30.0, 100_000)])
+    got, want = sigmoid(a), masked(a)
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    grid = a[len(edges):].reshape(-1, 100)
+    assert np.array_equal(sigmoid(grid), masked(grid))
+
+
+def _randomized_running_stats(net, seed):
+    rng = np.random.default_rng(seed)
+    for layer in net.encoder:
+        bn = layer.batch_norm
+        bn.gamma = rng.uniform(0.5, 1.5, bn.gamma.shape)
+        bn.beta = rng.normal(0.0, 0.2, bn.beta.shape)
+        bn.running_mean = rng.normal(0.0, 0.5, bn.beta.shape)
+        bn.running_var = rng.uniform(0.1, 2.0, bn.beta.shape)
+        layer.bias = rng.normal(0.0, 0.1, layer.bias.shape)
+
+
+def _folded_encode(net, x):
+    layers, out_scale = fold_encoder(net)
+    h = x
+    for weights, bias, act in layers:
+        h = act.apply(h @ weights.T + bias)
+    return out_scale * h
+
+
+def test_fold_encoder_matches_encode():
+    net = build_network(9, [7, 5], 4, RngStream(31), dropout_keep=0.6)
+    _randomized_running_stats(net, 32)
+    x = RngStream(33).uniform((50, 9))
+    want = encode(net, x)
+    assert np.abs(_folded_encode(net, x) - want).max() <= 1e-12 * np.abs(want).max()
+    layers, out_scale = fold_encoder(net)
+    assert len(layers) == 3 and out_scale == 0.6
+    # folding reads the network and never writes it
+    assert np.array_equal(encode(net, x), want)
+
+
+def test_fold_encoder_plain_and_sigmoid_layers():
+    # layer 0 without batch norm or dropout, a sigmoid layer in the middle
+    net = build_network(6, [5, 4], 3, RngStream(34), dropout_keep=0.8)
+    _randomized_running_stats(net, 35)
+    net.encoder[0].batch_norm = None
+    net.encoder[0].dropout = None
+    object.__setattr__(net.encoder[1], "activation", Activation("sigmoid"))
+    x = RngStream(36).uniform((40, 6))
+    want = encode(net, x)
+    assert np.abs(_folded_encode(net, x) - want).max() <= 1e-12 * np.abs(want).max()
+    weights0, bias0, _ = fold_encoder(net)[0][0]
+    assert np.array_equal(weights0, net.encoder[0].weights)
+    assert np.array_equal(bias0, net.encoder[0].bias)
 
 
 def test_batchnorm_training_hand_case():
