@@ -61,12 +61,35 @@ def _default_config() -> dict:
     }
 
 
-def _deep_update(base: dict, extra: dict) -> dict:
+# the type a set value must take where the default is None (worked out later)
+NULL_DEFAULT_TYPES = {"dataset": dict, "train.epochs": int, "train.latent_dim": int,
+                      "svm.gamma": float, "svm.coef0": float, "explain.n_coalitions": int}
+TYPE_NAMES = {int: "an integer", float: "a number", list: "a list of integers",
+              dict: "a JSON object"}
+
+
+def _typed(name: str, default, value):
+    """A config value converted to the type of its key's default. A value
+    that does not convert is an input error that names the key."""
+    kind = NULL_DEFAULT_TYPES.get(name) if default is None else type(default)
+    if kind not in TYPE_NAMES or (value is None and default is None):
+        return value
+    try:
+        if kind is dict and not isinstance(value, dict):
+            raise TypeError
+        return [int(v) for v in value] if kind is list else kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"config key {name!r} must be {TYPE_NAMES[kind]}, "
+                         f"got {value!r}") from None
+
+
+def _deep_update(base: dict, extra: dict, path: str = "") -> dict:
     for key, value in extra.items():
-        if isinstance(value, dict) and isinstance(base.get(key), dict):
-            _deep_update(base[key], value)
+        name = path + key
+        if isinstance(base.get(key), dict):
+            _deep_update(base[key], _typed(name, base[key], value), name + ".")
         else:
-            base[key] = value
+            base[key] = _typed(name, base.get(key), value)
     return base
 
 
@@ -164,7 +187,7 @@ def build_svm_config(cfg: dict) -> SvmConfig:
     s = cfg["svm"]
     kind = s["kernel"]
     gamma = s.get("gamma")
-    degree = int(s.get("degree") or 3)
+    degree = int(s["degree"])
     coef0 = s.get("coef0")
     if kind == "linear":
         kernel = KernelSpec.linear()
@@ -233,16 +256,12 @@ def cmd_train(cfg: dict) -> int:
     train_cfg = build_train_config(cfg)
     svm_cfg = build_svm_config(cfg)
     model = train_pipeline(prepared, train_cfg, svm_cfg)
-    out = _out_dir(cfg)
-    bundle_path = os.path.join(out, "model.json")
-    doc = bundle_dict(model)
     # preprocessing knobs ride along so later commands can replay the split
-    doc["preprocess"] = {"drop_threshold": float(cfg["preprocess"]["drop_threshold"]),
-                         "test_fraction": float(cfg["preprocess"]["test_fraction"])}
-    doc["dataset"] = cfg.get("dataset")
-    with open(bundle_path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    model.preprocess = {"drop_threshold": float(cfg["preprocess"]["drop_threshold"]),
+                        "test_fraction": float(cfg["preprocess"]["test_fraction"])}
+    model.dataset = cfg.get("dataset")
+    out = _out_dir(cfg)
+    write_json(os.path.join(out, "model.json"), bundle_dict(model))
     if model.epoch_logs:
         write_csv(os.path.join(out, "loss_history.csv"),
                   ["epoch", "l_recon", "l_latent", "l_clf", "l_ent", "l_total"],

@@ -149,6 +149,8 @@ def bundle_dict(model: TrainedModel) -> dict:
         "epoch_logs": [{"epoch": e.epoch, "recon": e.recon, "latent": e.latent,
                         "clf": e.clf, "ent": e.ent, "total": e.total}
                        for e in model.epoch_logs],
+        "preprocess": model.preprocess,
+        "dataset": model.dataset,
     }
 
 

@@ -10,7 +10,9 @@ inference and uses population batch statistics while training. Dropout is
 the non-inverted kind: a Bernoulli(keep) 0/1 mask multiplies activations
 during training, and inference multiplies activations by keep instead.
 
-The optimizer is Adam in its plain recurrence without bias correction:
+The optimizer is Adam in its plain recurrence without bias correction,
+run over one parameter vector (``parameter_vector``) that holds every
+weight, bias, gamma and beta, each layer keeping a view of its part:
 
     m <- beta1 * m + (1 - beta1) * g
     v <- beta2 * v + (1 - beta2) * g^2
@@ -24,13 +26,13 @@ The joint objective is
 where L_recon is the batch mean of squared reconstruction norms against the
 clean inputs, L_latent is the mean over latent dimensions of the population
 variance of each latent coordinate, L_clf is binary cross entropy, and
-L_ent is the mean prediction entropy. ``backward`` returns analytic
-gradients of L_total for every weight, bias, gamma and beta, including the
+L_ent is the mean prediction entropy. ``backward`` returns the analytic
+gradient of L_total in the layout of the parameter vector, including the
 paths through batch statistics, dropout masks and the variance penalty.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -219,25 +221,18 @@ def dense_forward(layer: DenseLayer, h_in: np.ndarray, training: bool,
 
 
 def dense_backward(layer: DenseLayer, cache: dict,
-                   d_out: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Gradients for one layer. Returns (d_input, {weights, bias[, gamma, beta]})."""
+                   d_out: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Gradients for one layer. Returns (d_input, [weights, bias[, gamma, beta]])."""
     if cache is None:
         raise StateError("dense_backward needs a training-mode cache")
     d = d_out
     if cache["mask"] is not None:
         d = d * cache["mask"]
     d_u = d * layer.activation.grad(cache["pre_act"], cache["post_act"])
-    grads: dict[str, np.ndarray] = {}
+    d_a, bn_grads = d_u, []
     if layer.batch_norm is not None:
-        d_a, d_gamma, d_beta = batchnorm_backward(layer.batch_norm, cache["bn"], d_u)
-        grads["gamma"] = d_gamma
-        grads["beta"] = d_beta
-    else:
-        d_a = d_u
-    grads["weights"] = d_a.T @ cache["h_in"]
-    grads["bias"] = d_a.sum(axis=0)
-    d_in = d_a @ layer.weights
-    return d_in, grads
+        d_a, *bn_grads = batchnorm_backward(layer.batch_norm, cache["bn"], d_u)
+    return d_a @ layer.weights, [d_a.T @ cache["h_in"], d_a.sum(axis=0), *bn_grads]
 
 
 def _stack_forward(layers, x, training, rng):
@@ -250,27 +245,9 @@ def _stack_forward(layers, x, training, rng):
     return h, caches
 
 
-def encoder_forward(params: NetworkParams, x: np.ndarray, training: bool = False,
-                    rng: RngStream | None = None):
-    """Map inputs to latent codes. Returns (z, caches); caches is None when
-    not training.
-    """
-    return _stack_forward(params.encoder, as_matrix(x, "encoder input"), training, rng)
-
-
-def decoder_forward(params: NetworkParams, z: np.ndarray, training: bool = False,
-                    rng: RngStream | None = None):
-    return _stack_forward(params.decoder, as_matrix(z, "decoder input"), training, rng)
-
-
-def classifier_forward(params: NetworkParams, z: np.ndarray, training: bool = False):
-    """Single sigmoid unit on the latent code. Returns (y_hat column, cache)."""
-    return dense_forward(params.classifier, as_matrix(z, "classifier input"), training)
-
-
 def encode(params: NetworkParams, x: np.ndarray) -> np.ndarray:
     """Inference-mode latent codes."""
-    z, _ = encoder_forward(params, x, training=False)
+    z, _ = _stack_forward(params.encoder, x, False, None)
     return z
 
 
@@ -302,19 +279,18 @@ def fold_encoder(params: NetworkParams) -> tuple[list[FoldedLayer], float]:
 
 
 def reconstruct(params: NetworkParams, x: np.ndarray) -> np.ndarray:
-    x_hat, _ = decoder_forward(params, encode(params, x), training=False)
+    x_hat, _ = _stack_forward(params.decoder, encode(params, x), False, None)
     return x_hat
 
 
 def classify(params: NetworkParams, x: np.ndarray) -> np.ndarray:
-    y_hat, _ = classifier_forward(params, encode(params, x), training=False)
+    y_hat, _ = dense_forward(params.classifier, encode(params, x), False)
     return y_hat[:, 0]
 
 
 @dataclass
 class ForwardPass:
     """Training-mode forward results plus the caches backward needs."""
-    x_in: np.ndarray
     z: np.ndarray
     x_hat: np.ndarray
     y_hat: np.ndarray            # column vector (n, 1)
@@ -325,10 +301,10 @@ class ForwardPass:
 
 def training_forward(params: NetworkParams, x_corrupted: np.ndarray,
                      rng: RngStream) -> ForwardPass:
-    z, enc_caches = encoder_forward(params, x_corrupted, training=True, rng=rng)
-    x_hat, dec_caches = decoder_forward(params, z, training=True, rng=rng)
-    y_hat, clf_cache = classifier_forward(params, z, training=True)
-    return ForwardPass(x_corrupted, z, x_hat, y_hat, enc_caches, dec_caches, clf_cache)
+    z, enc_caches = _stack_forward(params.encoder, x_corrupted, True, rng)
+    x_hat, dec_caches = _stack_forward(params.decoder, z, True, rng)
+    y_hat, clf_cache = dense_forward(params.classifier, z, True)
+    return ForwardPass(z, x_hat, y_hat, enc_caches, dec_caches, clf_cache)
 
 
 def corrupt(x: np.ndarray, noise_std: float, rng: RngStream) -> np.ndarray:
@@ -420,21 +396,20 @@ def batch_losses(fwd: ForwardPass, x_clean: np.ndarray, y: np.ndarray) -> LossCo
     )
 
 
-def _stack_backward(prefix: str, layers, caches, d_out, grads: dict):
+def _stack_backward(layers, caches, d_out):
+    """Backward through a stack of layers. Returns d_input and each layer's
+    gradient list, in layer order."""
+    grads = [None] * len(layers)
     d = d_out
     for idx in reversed(range(len(layers))):
-        d, layer_grads = dense_backward(layers[idx], caches[idx], d)
-        for key, val in layer_grads.items():
-            grads[f"{prefix}.{idx}.{key}"] = val
-    return d
+        d, grads[idx] = dense_backward(layers[idx], caches[idx], d)
+    return d, grads
 
 
 def backward(params: NetworkParams, fwd: ForwardPass, x_clean: np.ndarray,
-             y: np.ndarray, weights: LossWeights) -> dict[str, np.ndarray]:
-    """Analytic gradients of the weighted total loss for every parameter.
-
-    Keys follow ``named_parameters``: encoder.i.weights, encoder.i.bias,
-    encoder.i.gamma, encoder.i.beta, decoder.i.*, classifier.*.
+             y: np.ndarray, weights: LossWeights) -> np.ndarray:
+    """Analytic gradient of the weighted total loss, as one vector in the
+    layout of ``parameter_vector``.
     """
     if fwd.encoder_caches is None:
         raise StateError("backward needs a training-mode forward (caches missing)")
@@ -443,69 +418,83 @@ def backward(params: NetworkParams, fwd: ForwardPass, x_clean: np.ndarray,
     y_col = np.asarray(y, dtype=np.float64).reshape(-1, 1)
     if y_col.shape[0] != n:
         raise ShapeError(f"{y_col.shape[0]} labels for a batch of {n}")
-    grads: dict[str, np.ndarray] = {}
 
     # reconstruction path back to the latent code
     d_x_hat = (2.0 / n) * (fwd.x_hat - x_clean)
-    d_z = _stack_backward("decoder", params.decoder, fwd.decoder_caches, d_x_hat, grads)
+    d_z, dec_grads = _stack_backward(params.decoder, fwd.decoder_caches, d_x_hat)
 
     # classification and entropy paths through the sigmoid head
     p = _clamped(fwd.y_hat)
     d_y_hat = (weights.classifier_weight * (-(1.0 / n)) * (y_col / p - (1 - y_col) / (1 - p))
                + weights.entropy_weight * (-(1.0 / n)) * np.log(p / (1 - p)))
     d_z_clf, clf_grads = dense_backward(params.classifier, fwd.classifier_cache, d_y_hat)
-    for key, val in clf_grads.items():
-        grads[f"classifier.{key}"] = val
     d_z = d_z + d_z_clf
 
     # variance penalty acts on the latent code directly
     d_z = d_z + weights.latent_weight * (2.0 / (n * k)) * (fwd.z - fwd.z.mean(axis=0))
 
-    _stack_backward("encoder", params.encoder, fwd.encoder_caches, d_z, grads)
-    return grads
+    _, enc_grads = _stack_backward(params.encoder, fwd.encoder_caches, d_z)
+    return np.concatenate([g.ravel() for layer_grads in (*enc_grads, *dec_grads, clf_grads)
+                           for g in layer_grads])
+
+
+def _parameter_slots(params: NetworkParams):
+    """(name, owner, attribute) of every trainable array, in the one order
+    that names, the parameter vector and gradients share."""
+    prefixed = [*((f"encoder.{i}", layer) for i, layer in enumerate(params.encoder)),
+                *((f"decoder.{i}", layer) for i, layer in enumerate(params.decoder)),
+                ("classifier", params.classifier)]
+    for prefix, layer in prefixed:
+        yield f"{prefix}.weights", layer, "weights"
+        yield f"{prefix}.bias", layer, "bias"
+        if layer.batch_norm is not None:
+            yield f"{prefix}.gamma", layer.batch_norm, "gamma"
+            yield f"{prefix}.beta", layer.batch_norm, "beta"
 
 
 def named_parameters(params: NetworkParams) -> list[tuple[str, np.ndarray]]:
     """Stable (name, array) listing of every trainable parameter."""
-    out: list[tuple[str, np.ndarray]] = []
-    for prefix, layers in (("encoder", params.encoder), ("decoder", params.decoder)):
-        for idx, layer in enumerate(layers):
-            out.append((f"{prefix}.{idx}.weights", layer.weights))
-            out.append((f"{prefix}.{idx}.bias", layer.bias))
-            if layer.batch_norm is not None:
-                out.append((f"{prefix}.{idx}.gamma", layer.batch_norm.gamma))
-                out.append((f"{prefix}.{idx}.beta", layer.batch_norm.beta))
-    out.append(("classifier.weights", params.classifier.weights))
-    out.append(("classifier.bias", params.classifier.bias))
-    return out
+    return [(name, getattr(owner, attr)) for name, owner, attr in _parameter_slots(params)]
+
+
+def parameter_vector(params: NetworkParams) -> np.ndarray:
+    """Move every trainable array into one contiguous float64 vector, in
+    ``named_parameters`` order, and leave each layer holding a view of its
+    part: an in-place update of the vector is an update of the network.
+    """
+    slots = list(_parameter_slots(params))
+    arrays = [getattr(owner, attr) for _, owner, attr in slots]
+    theta = np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
+    offset = 0
+    for (_, owner, attr), a in zip(slots, arrays):
+        setattr(owner, attr, theta[offset:offset + a.size].reshape(a.shape))
+        offset += a.size
+    return theta
 
 
 @dataclass
 class AdamState:
-    """Plain Adam moments, one pair per named parameter. No bias correction."""
+    """Plain Adam moments over the parameter vector, allocated on the first
+    step. No bias correction."""
     learning_rate: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
     step: int = 0
-    first_moment: dict[str, np.ndarray] = field(default_factory=dict)
-    second_moment: dict[str, np.ndarray] = field(default_factory=dict)
+    first_moment: np.ndarray | None = None
+    second_moment: np.ndarray | None = None
 
 
-def adam_step(state: AdamState, params: NetworkParams,
-              grads: dict[str, np.ndarray]) -> None:
-    """One in-place update of every parameter from its gradient."""
-    for name, theta in named_parameters(params):
-        g = grads.get(name)
-        if g is None:
-            raise StateError(f"missing gradient for parameter {name!r}")
-        if g.shape != theta.shape:
-            raise ShapeError(f"gradient shape {g.shape} does not match {name} {theta.shape}")
-        m = state.first_moment.setdefault(name, np.zeros_like(theta))
-        v = state.second_moment.setdefault(name, np.zeros_like(theta))
-        m *= state.beta1
-        m += (1 - state.beta1) * g
-        v *= state.beta2
-        v += (1 - state.beta2) * np.square(g)
-        theta -= state.learning_rate * m / (np.sqrt(v) + state.epsilon)
+def adam_step(state: AdamState, theta: np.ndarray, grad: np.ndarray) -> None:
+    """One in-place update of the parameter vector from its gradient."""
+    if grad.shape != theta.shape:
+        raise ShapeError(f"gradient shape {grad.shape} does not match parameters {theta.shape}")
+    if state.first_moment is None:
+        state.first_moment, state.second_moment = np.zeros_like(theta), np.zeros_like(theta)
+    m, v = state.first_moment, state.second_moment
+    m *= state.beta1
+    m += (1 - state.beta1) * grad
+    v *= state.beta2
+    v += (1 - state.beta2) * np.square(grad)
+    theta -= state.learning_rate * m / (np.sqrt(v) + state.epsilon)
     state.step += 1

@@ -24,8 +24,8 @@ import numpy as np
 from .data import PreparedData, TabularDataset, apply_saved_preprocessing
 from .errors import DegenerateDataError, DivergenceError, InputError, NumericError
 from .network import (AdamState, LossWeights, NetworkParams, adam_step, backward,
-                      batch_losses, build_network, corrupt, encode, total_loss,
-                      training_forward)
+                      batch_losses, build_network, corrupt, encode, parameter_vector,
+                      total_loss, training_forward)
 from .numerics import RngStream, substream_seed
 from .svm import KernelSpec, SvmModel, predict_labels, smo_train
 
@@ -104,6 +104,7 @@ def train_phase1(train: TabularDataset,
                            RngStream(substream_seed(cfg.seed, "init")),
                            dropout_keep=cfg.dropout_keep,
                            bn_momentum=cfg.bn_momentum, bn_epsilon=cfg.bn_epsilon)
+    theta = parameter_vector(params)
     adam = AdamState(learning_rate=cfg.learning_rate)
     shuffle_rng = RngStream(substream_seed(cfg.seed, "shuffle"))
     dropout_rng = RngStream(substream_seed(cfg.seed, "dropout"))
@@ -115,7 +116,7 @@ def train_phase1(train: TabularDataset,
     logs: list[EpochLog] = []
     for epoch in range(1, cfg.epochs + 1):
         order = shuffle_rng.permutation(n)
-        sums = {"recon": 0.0, "latent": 0.0, "clf": 0.0, "ent": 0.0, "total": 0.0}
+        sums = np.zeros(5)      # the four terms in EpochLog order, then the total
         rows_seen = 0
         for batch_no, start in enumerate(range(0, n, cfg.batch_size), start=1):
             idx = order[start:start + cfg.batch_size]
@@ -138,20 +139,12 @@ def train_phase1(train: TabularDataset,
                         f"training diverged at epoch {epoch}, batch {batch_no}: "
                         f"loss term {term!r} = {value:.6g} exceeds {LOSS_GUARD:g}",
                         epoch=epoch, batch=batch_no, term=term)
-            grads = backward(params, fwd, x, y, cfg.weights)
-            adam_step(adam, params, grads)
-            for term, value in terms.items():
-                sums[term] += value * idx.size
-            sums["total"] += total * idx.size
+            adam_step(adam, theta, backward(params, fwd, x, y, cfg.weights))
+            sums += np.array([*terms.values(), total]) * idx.size
             rows_seen += idx.size
         if rows_seen == 0:
             raise DegenerateDataError("no batch had the 2 rows training requires")
-        logs.append(EpochLog(epoch=epoch,
-                             recon=sums["recon"] / rows_seen,
-                             latent=sums["latent"] / rows_seen,
-                             clf=sums["clf"] / rows_seen,
-                             ent=sums["ent"] / rows_seen,
-                             total=sums["total"] / rows_seen))
+        logs.append(EpochLog(epoch, *(sums / rows_seen).tolist()))
     return params, logs
 
 

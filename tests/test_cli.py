@@ -114,6 +114,13 @@ def test_retraining_is_byte_identical(workspace, trained):
     assert a == b
 
 
+def test_saved_bundle_reproduces_train_output(workspace, trained, tmp_path):
+    from claire.model_io import load_bundle, save_bundle
+    copy = str(tmp_path / "model.json")
+    save_bundle(copy, load_bundle(os.path.join(trained, "model.json")))
+    assert open(copy, "rb").read() == open(os.path.join(trained, "model.json"), "rb").read()
+
+
 def test_rawsvm_train_has_no_history(workspace):
     out = str(workspace["root"] / "raw_out")
     rc = main(["train", "--dataset", workspace["data"], "--config",
@@ -370,3 +377,30 @@ def test_default_process_train_converges(tmp_path, capsys):
     line = next(l for l in captured.out.splitlines() if l.startswith("svm:"))
     gap = float(line.split("KKT gap ")[1].split(",")[0])
     assert 0.0 <= gap <= 1e-3
+
+
+@pytest.mark.parametrize("command,doc,key", [
+    ("train", {"seed": "s"}, "'seed'"),
+    ("train", {"preprocess": {"drop_threshold": "abc"}}, "'preprocess.drop_threshold'"),
+    ("train", {"train": {"hidden_widths": 5}}, "'train.hidden_widths'"),
+    ("train", {"train": "oops"}, "'train'"),
+    ("explain", {"explain": {"n_background": "x"}}, "'explain.n_background'"),
+])
+def test_config_value_of_wrong_type_is_input_error(workspace, trained, tmp_path, capsys,
+                                                   command, doc, key):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"format": "claire-config/1", **doc}))
+    rc = main([command, "--dataset", workspace["data"], "--config", str(config),
+               "--out", str(tmp_path / "out"),
+               *(["--model", os.path.join(trained, "model.json")]
+                 if command == "explain" else [])])
+    _assert_one_line_input_error(rc, capsys.readouterr().err, key)
+
+
+def test_polynomial_degree_zero_is_input_error(workspace, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"format": "claire-config/1",
+                                  "svm": {"kernel": "polynomial", "degree": 0}}))
+    rc = main(["train", "--dataset", workspace["data"], "--config", str(config),
+               "--out", str(tmp_path / "out")])
+    _assert_one_line_input_error(rc, capsys.readouterr().err, "degree must be >= 1, got 0")

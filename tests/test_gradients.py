@@ -46,12 +46,14 @@ def fd_check_one(seed: int) -> int:
         return total
 
     fwd = training_forward(net, x_corrupted, RngStream(dropout_seed))
-    grads = backward(net, fwd, x_clean, y, weights)
+    grad = backward(net, fwd, x_clean, y, weights)
 
     checked = 0
+    offset = 0
     for name, param in named_parameters(net):
         flat = param.reshape(-1)
-        g_flat = grads[name].reshape(-1)
+        g_flat = grad[offset:offset + flat.size]
+        offset += flat.size
         for i in range(flat.shape[0]):
             saved = flat[i]
             flat[i] = saved + FD_STEP
@@ -65,6 +67,7 @@ def fd_check_one(seed: int) -> int:
             assert abs(a - fd) <= bound, (
                 f"seed {seed} {name}[{i}]: analytic {a!r} vs finite-diff {fd!r}")
             checked += 1
+    assert offset == grad.size
     return checked
 
 
@@ -82,9 +85,9 @@ def test_dense_backward_linear_hand_chain():
     out, cache = dense_forward(layer, h_in, training=True)
     assert np.allclose(out, h_in @ layer.weights.T + layer.bias, atol=1e-12)
     d_out = rng.normal(size=(4, 2))
-    d_h, grads = dense_backward(layer, cache, d_out)
-    assert np.allclose(grads["weights"], d_out.T @ h_in, atol=1e-12)
-    assert np.allclose(grads["bias"], d_out.sum(axis=0), atol=1e-12)
+    d_h, (d_weights, d_bias) = dense_backward(layer, cache, d_out)
+    assert np.allclose(d_weights, d_out.T @ h_in, atol=1e-12)
+    assert np.allclose(d_bias, d_out.sum(axis=0), atol=1e-12)
     assert np.allclose(d_h, d_out @ layer.weights, atol=1e-12)
 
 
@@ -94,10 +97,10 @@ def test_dense_backward_leaky_hand_chain():
     h_in = np.array([[2.0, 0.0], [0.0, 3.0]])        # pre-acts +2 and -3
     out, cache = dense_forward(layer, h_in, training=True)
     assert np.allclose(out, [[2.0], [-0.03]])
-    d_h, grads = dense_backward(layer, cache, np.array([[1.0], [1.0]]))
+    d_h, (d_weights, d_bias) = dense_backward(layer, cache, np.array([[1.0], [1.0]]))
     # row 1 passes slope 1, row 2 slope 0.01
-    assert np.allclose(grads["weights"], [[2.0 + 0.0, 0.0 + 0.03]])
-    assert np.allclose(grads["bias"], [1.01])
+    assert np.allclose(d_weights, [[2.0 + 0.0, 0.0 + 0.03]])
+    assert np.allclose(d_bias, [1.01])
     assert np.allclose(d_h, [[1.0, -1.0], [0.01, -0.01]])
 
 

@@ -4,15 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from claire.errors import DegenerateDataError, NumericError, ShapeError, StateError
+from claire.errors import DegenerateDataError, NumericError, ShapeError
 from claire.network import (LEAKY, Activation, AdamState, BatchNormState,
                             DenseLayer, DropoutState, LossComponents, LossWeights,
                             adam_step, backward, batch_losses, batchnorm_forward,
                             build_network, classify, corrupt, dense_forward, encode,
                             fold_encoder,
                             loss_classification, loss_entropy, loss_latent_variance,
-                            loss_reconstruction, named_parameters, reconstruct,
-                            sigmoid, total_loss, training_forward)
+                            loss_reconstruction, named_parameters, parameter_vector,
+                            reconstruct, sigmoid, total_loss, training_forward)
 from claire.numerics import RngStream
 
 
@@ -205,41 +205,46 @@ def test_total_loss_rejects_non_finite():
 
 def test_adam_first_step_magnitude():
     # first step with g=1: m=0.1, v=0.001, theta -= lr * 0.1/(sqrt(0.001)+1e-8)
-    net = build_network(2, [], 1, RngStream(0))
+    theta = np.array([0.5, -2.0, 0.0])
+    grad = np.array([1.0, 0.0, 1.0])
     state = AdamState(learning_rate=1.0)
-    name, theta = named_parameters(net)[0]
-    before = theta.copy()
-    grads = {n: np.zeros_like(p) for n, p in named_parameters(net)}
-    grads[name] = np.ones_like(theta)
-    adam_step(state, net, grads)
-    delta = theta - before
+    adam_step(state, theta, grad)
     expected = -0.1 / (math.sqrt(0.001) + 1e-8)      # about -3.16228
-    assert np.allclose(delta, expected, rtol=1e-9)
+    assert np.allclose(theta, [0.5 + expected, -2.0, expected], rtol=1e-9)
     assert state.step == 1
+    assert state.first_moment.shape == state.second_moment.shape == theta.shape
 
 
 def test_adam_without_bias_correction_differs_from_corrected():
     # with correction the first unit-gradient step would be exactly -lr
-    net = build_network(2, [], 1, RngStream(0))
-    state = AdamState(learning_rate=1e-3)
-    name, theta = named_parameters(net)[0]
-    before = theta.copy()
-    grads = {n: np.zeros_like(p) for n, p in named_parameters(net)}
-    grads[name] = np.ones_like(theta)
-    adam_step(state, net, grads)
-    assert not np.allclose(theta - before, -1e-3, rtol=1e-3)
+    theta = np.zeros(4)
+    adam_step(AdamState(learning_rate=1e-3), theta, np.ones(4))
+    assert not np.allclose(theta, -1e-3, rtol=1e-3)
 
 
 def test_adam_errors():
-    net = build_network(2, [], 1, RngStream(0))
     state = AdamState()
-    with pytest.raises(StateError, match="gradient"):
-        adam_step(state, net, {})
-    grads = {n: np.zeros_like(p) for n, p in named_parameters(net)}
-    first = next(iter(grads))
-    grads[first] = np.zeros((1, 1))
     with pytest.raises(ShapeError):
-        adam_step(state, net, grads)
+        adam_step(state, np.zeros(3), np.zeros(2))
+    assert state.first_moment is None and state.step == 0
+
+
+def test_parameter_vector_is_the_network():
+    net = build_network(5, [4], 3, RngStream(23))
+    saved = [(n, p.copy()) for n, p in named_parameters(net)]
+    theta = parameter_vector(net)
+    assert theta.dtype == np.float64 and theta.flags.c_contiguous
+    assert theta.size == sum(p.size for _, p in saved)
+    # same values in named_parameters order, and every array is a view of theta
+    assert np.array_equal(theta, np.concatenate([p.ravel() for _, p in saved]))
+    for (name, param), (_, before) in zip(named_parameters(net), saved):
+        assert np.array_equal(param, before) and np.shares_memory(param, theta), name
+    x = RngStream(24).uniform((6, 5))
+    assert np.abs(encode(net, x)).max() > 0
+    # zero weights, biases, gammas and betas make every code exactly 0
+    theta *= 0.0
+    assert not net.encoder[0].weights.any() and not net.classifier.bias.any()
+    assert np.array_equal(encode(net, x), np.zeros((6, 3)))
 
 
 def test_build_network_shapes_and_order():
@@ -319,9 +324,8 @@ def test_backward_produces_all_named_gradients():
     x = RngStream(21).uniform((6, 5))
     y = np.array([0, 1, 0, 1, 1, 0], dtype=np.float64)
     fwd = training_forward(net, x, RngStream(22))
-    grads = backward(net, fwd, x, y, LossWeights())
-    names = [n for n, _ in named_parameters(net)]
-    assert sorted(grads) == sorted(names)
-    for name, param in named_parameters(net):
-        assert grads[name].shape == param.shape
-        assert np.isfinite(grads[name]).all()
+    grad = backward(net, fwd, x, y, LossWeights())
+    assert isinstance(grad, np.ndarray) and grad.ndim == 1
+    assert grad.size == sum(p.size for _, p in named_parameters(net))
+    assert grad.shape == parameter_vector(net).shape
+    assert np.isfinite(grad).all()
