@@ -65,7 +65,11 @@ def _default_config() -> dict:
 NULL_DEFAULT_TYPES = {"dataset": dict, "train.epochs": int, "train.latent_dim": int,
                       "svm.gamma": float, "svm.coef0": float, "explain.n_coalitions": int}
 TYPE_NAMES = {int: "an integer", float: "a number", list: "a list of integers",
-              dict: "a JSON object"}
+              dict: "a JSON object", str: "a string"}
+# explain.output is "mean" or the index of one latent dimension
+STRING_OR_INDEX = ("explain.output",)
+# the file names each dataset kind needs
+DATASET_PATHS = {"secom": ("features", "labels"), "tep": ("path",), "csv": ("path",)}
 
 
 def _typed(name: str, default, value):
@@ -74,13 +78,15 @@ def _typed(name: str, default, value):
     kind = NULL_DEFAULT_TYPES.get(name) if default is None else type(default)
     if kind not in TYPE_NAMES or (value is None and default is None):
         return value
+    if name in STRING_OR_INDEX and isinstance(value, int):
+        return value
     try:
-        if kind is dict and not isinstance(value, dict):
+        if kind in (dict, str) and not isinstance(value, kind):
             raise TypeError
         return [int(v) for v in value] if kind is list else kind(value)
     except (TypeError, ValueError, OverflowError):
-        raise InputError(f"config key {name!r} must be {TYPE_NAMES[kind]}, "
-                         f"got {value!r}") from None
+        what = TYPE_NAMES[kind] + (" or an integer" if name in STRING_OR_INDEX else "")
+        raise InputError(f"config key {name!r} must be {what}, got {value!r}") from None
 
 
 def _deep_update(base: dict, extra: dict, path: str = "") -> dict:
@@ -148,18 +154,30 @@ def parse_dataset_spec(spec: str) -> dict:
     raise InputError(f"unknown dataset kind {kind!r}; expected secom, tep or csv")
 
 
+def check_dataset(ds_cfg: dict) -> None:
+    """Every file name the dataset's kind reads is present and a string."""
+    kind = ds_cfg.get("kind")
+    if not isinstance(kind, str) or kind not in DATASET_PATHS:
+        raise InputError(f"unknown dataset kind {kind!r}; expected secom, tep or csv")
+    for key in DATASET_PATHS[kind]:
+        if key not in ds_cfg:
+            raise InputError(f"dataset of kind {kind!r} needs the key {key!r}")
+        if not isinstance(ds_cfg[key], str):
+            raise InputError(f"dataset key {key!r} of kind {kind!r} must be a string, "
+                             f"got {ds_cfg[key]!r}")
+
+
 def load_dataset(cfg: dict) -> TabularDataset:
     ds_cfg = cfg.get("dataset")
     if not ds_cfg:
         raise InputError("no dataset configured; pass --dataset or set it in the config")
-    kind = ds_cfg.get("kind")
+    check_dataset(ds_cfg)
+    kind = ds_cfg["kind"]
     if kind == "secom":
         return data_mod.load_secom(ds_cfg["features"], ds_cfg["labels"])
     if kind == "tep":
         return data_mod.load_tep(ds_cfg["path"], ds_cfg.get("fault_classes"))
-    if kind == "csv":
-        return data_mod.load_labeled_csv(ds_cfg["path"], ds_cfg.get("label_column", "label"))
-    raise InputError(f"unknown dataset kind {kind!r}")
+    return data_mod.load_labeled_csv(ds_cfg["path"], ds_cfg.get("label_column", "label"))
 
 
 def build_train_config(cfg: dict) -> TrainConfig:
@@ -493,6 +511,8 @@ def resolve_config(args) -> dict:
         cfg["train"]["epochs"] = args.epochs
     if getattr(args, "learning_rate", None) is not None:
         cfg["train"]["learning_rate"] = args.learning_rate
+    if cfg["dataset"]:
+        check_dataset(cfg["dataset"])
     return cfg
 
 

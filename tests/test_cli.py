@@ -385,6 +385,9 @@ def test_default_process_train_converges(tmp_path, capsys):
     ("train", {"train": {"hidden_widths": 5}}, "'train.hidden_widths'"),
     ("train", {"train": "oops"}, "'train'"),
     ("explain", {"explain": {"n_background": "x"}}, "'explain.n_background'"),
+    ("train", {"train": {"mode": 1}}, "'train.mode'"),
+    ("train", {"svm": {"kernel": ["rbf"]}}, "'svm.kernel'"),
+    ("explain", {"explain": {"output": [0]}}, "'explain.output'"),
 ])
 def test_config_value_of_wrong_type_is_input_error(workspace, trained, tmp_path, capsys,
                                                    command, doc, key):
@@ -404,3 +407,31 @@ def test_polynomial_degree_zero_is_input_error(workspace, tmp_path, capsys):
     rc = main(["train", "--dataset", workspace["data"], "--config", str(config),
                "--out", str(tmp_path / "out")])
     _assert_one_line_input_error(rc, capsys.readouterr().err, "degree must be >= 1, got 0")
+
+
+def test_output_dir_of_wrong_type_fails_before_training(workspace, tmp_path, monkeypatch,
+                                                        capsys):
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"format": "claire-config/1", "output_dir": 5}))
+    rc = main(["train", "--dataset", workspace["data"], "--config", str(config)])
+    _assert_one_line_input_error(rc, capsys.readouterr().err, "'output_dir'", "a string")
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+
+@pytest.mark.parametrize("dataset,key", [
+    ({"kind": "secom", "features": "x.data"}, "'labels'"),
+    ({"kind": "tep", "fault_classes": [1]}, "'path'"),
+    ({"kind": "csv"}, "'path'"),
+])
+def test_dataset_missing_its_file_key_is_input_error(tmp_path, monkeypatch, capsys,
+                                                     dataset, key):
+    def never(*args, **kwargs):
+        raise AssertionError("a loader ran")
+    for loader in ("load_secom", "load_tep", "load_labeled_csv"):
+        monkeypatch.setattr(f"claire.data.{loader}", never)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"format": "claire-config/1", "dataset": dataset}))
+    rc = main(["train", "--config", str(config), "--out", str(tmp_path / "out")])
+    _assert_one_line_input_error(rc, capsys.readouterr().err, f"'{dataset['kind']}'", key)
+    assert not (tmp_path / "out").exists()

@@ -4,24 +4,26 @@ import math
 import numpy as np
 import pytest
 
+from claire.data import TabularDataset
 from claire.errors import DegenerateDataError, NumericError, ShapeError
-from claire.network import (LEAKY, Activation, AdamState, BatchNormState,
+from claire.network import (ADAM_BLOCK, LEAKY, Activation, AdamState, BatchNormState,
                             DenseLayer, DropoutState, LossComponents, LossWeights,
-                            adam_step, backward, batch_losses, batchnorm_forward,
-                            build_network, classify, corrupt, dense_forward, encode,
-                            fold_encoder,
+                            adam_step, backward, batch_losses, batchnorm_backward,
+                            batchnorm_forward, build_network, classify, corrupt,
+                            dense_forward, encode, fold_encoder,
                             loss_classification, loss_entropy, loss_latent_variance,
                             loss_reconstruction, named_parameters, parameter_vector,
                             reconstruct, sigmoid, total_loss, training_forward)
-from claire.numerics import RngStream
+from claire.numerics import RngStream, substream_seed
+from claire.training import TrainConfig, train_phase1
 
 
 def test_activations_hand_values():
     a = np.array([[2.0, -1.0]])
     out = LEAKY.apply(a)
     assert np.allclose(out, [[2.0, -0.01]])
-    grad = LEAKY.grad(a, out)
-    assert np.allclose(grad, [[1.0, 0.01]])
+    d_pre = LEAKY.backward(np.array([[3.0, 3.0]]), a, out)
+    assert np.allclose(d_pre, [[3.0, 0.03]])
     assert sigmoid(np.array([0.0]))[0] == pytest.approx(0.5)
     # extreme inputs stay finite and saturate
     big = sigmoid(np.array([800.0, -800.0]))
@@ -226,6 +228,8 @@ def test_adam_errors():
     state = AdamState()
     with pytest.raises(ShapeError):
         adam_step(state, np.zeros(3), np.zeros(2))
+    with pytest.raises(ShapeError, match="ndim=2"):
+        adam_step(state, np.zeros((2, 3)), np.zeros((2, 3)))
     assert state.first_moment is None and state.step == 0
 
 
@@ -329,3 +333,245 @@ def test_backward_produces_all_named_gradients():
     assert grad.size == sum(p.size for _, p in named_parameters(net))
     assert grad.shape == parameter_vector(net).shape
     assert np.isfinite(grad).all()
+
+
+# ---------------------------------------------------------------------------
+# Bit identity of the training step. The functions below are the plain
+# formulas of the layer recipe, one temporary per operation, kept as the
+# reference that the in-place, blocked code in claire.network must match
+# bit for bit.
+
+def _ref_adam(m, v, theta, grad, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    m *= beta1
+    m += (1 - beta1) * grad
+    v *= beta2
+    v += (1 - beta2) * np.square(grad)
+    theta -= lr * m / (np.sqrt(v) + eps)
+
+
+def _ref_leaky(a, slope):
+    return np.where(a > 0, a, slope * a)
+
+
+def _ref_leaky_backward(d, a, slope):
+    return d * np.where(a > 0, 1.0, slope)
+
+
+def _ref_sigmoid(a):
+    e = np.exp(-np.abs(a))
+    denom = 1.0 + e
+    return np.where(a >= 0, 1.0 / denom, e / denom)
+
+
+def _ref_bn_forward(bn, a):
+    mean = a.mean(axis=0)
+    var = np.square(a - mean).mean(axis=0)
+    bn.running_mean = bn.momentum * bn.running_mean + (1 - bn.momentum) * mean
+    bn.running_var = bn.momentum * bn.running_var + (1 - bn.momentum) * var
+    std = np.sqrt(var + bn.epsilon)
+    normalized = (a - mean) / std
+    return bn.gamma * normalized + bn.beta, normalized, std
+
+
+def _ref_bn_backward(gamma, normalized, std, d_out):
+    d_gamma = (d_out * normalized).sum(axis=0)
+    d_beta = d_out.sum(axis=0)
+    d_norm = d_out * gamma
+    d_a = (d_norm - d_norm.mean(axis=0)
+           - normalized * (d_norm * normalized).mean(axis=0)) / std
+    return d_a, d_gamma, d_beta
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+def _edge_values():
+    tiny = np.finfo(np.float64).tiny
+    return np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, -1e-310,
+                     tiny, -tiny, tiny / 3, -tiny / 3, 1e308, -1e308, np.nan])
+
+
+@pytest.mark.parametrize("size", [1000, 2 * ADAM_BLOCK + 123])
+def test_adam_step_matches_reference_bit_for_bit(size):
+    rng = np.random.default_rng(size)
+    theta = rng.normal(size=size)
+    want_theta, want_m, want_v = theta.copy(), np.zeros(size), np.zeros(size)
+    state = AdamState(learning_rate=3e-3)
+    for step in range(5):
+        grad = rng.normal(scale=10.0 ** (step - 2), size=size)
+        grad[::97] = 0.0
+        adam_step(state, theta, grad)
+        _ref_adam(want_m, want_v, want_theta, grad, lr=3e-3)
+    assert np.array_equal(_bits(theta), _bits(want_theta))
+    assert np.array_equal(_bits(state.first_moment), _bits(want_m))
+    assert np.array_equal(_bits(state.second_moment), _bits(want_v))
+    assert state.step == 5
+    assert all(buf.size == min(size, ADAM_BLOCK) for buf in state.scratch)
+
+
+@pytest.mark.parametrize("slope", [0.01, 0.5, 1.0])
+def test_leaky_relu_matches_where_form_bit_for_bit(slope):
+    rng = np.random.default_rng(7)
+    a = np.concatenate([_edge_values(), rng.normal(size=200_000),
+                        rng.normal(scale=1e-310, size=1000)]).reshape(-1, 5)
+    d = rng.normal(size=a.shape)
+    d[-3:] = _edge_values().reshape(3, 5)
+    act = Activation("leaky_relu", slope)
+    out = act.apply(a)
+    assert np.array_equal(_bits(out), _bits(_ref_leaky(a, slope)))
+    assert np.array_equal(_bits(act.backward(d, a, out)),
+                          _bits(_ref_leaky_backward(d, a, slope)))
+
+
+def test_leaky_relu_slope_zero_keeps_where_form():
+    # here max(a, 0 * a) would differ: 0 * inf is nan
+    a = np.array([np.inf, -np.inf, 2.0, -2.0, 0.0, -0.0])
+    with np.errstate(invalid="ignore"):
+        out = Activation("leaky_relu", 0.0).apply(a)
+        want = _ref_leaky(a, 0.0)
+    assert np.array_equal(_bits(out), _bits(want))
+
+
+def test_batchnorm_forward_backward_match_reference_bit_for_bit():
+    rng = np.random.default_rng(11)
+    a = rng.normal(loc=rng.normal(size=37) * 5, scale=rng.uniform(0.01, 3.0, 37),
+                   size=(50, 37))
+    a[:, 3] = 2.5                                     # a constant column
+
+    def state():
+        r = np.random.default_rng(12)
+        return BatchNormState(gamma=r.uniform(0.5, 1.5, 37), beta=r.normal(size=37),
+                              running_mean=r.normal(size=37),
+                              running_var=r.uniform(0.5, 2.0, 37), momentum=0.8)
+    got_state, want_state = state(), state()
+    out, cache = batchnorm_forward(got_state, a, training=True)
+    want_out, normalized, std = _ref_bn_forward(want_state, a)
+    for got, want in [(out, want_out), (cache["normalized"], normalized), (cache["std"], std),
+                      (got_state.running_mean, want_state.running_mean),
+                      (got_state.running_var, want_state.running_var)]:
+        assert np.array_equal(_bits(got), _bits(want))
+    d_out = rng.normal(size=a.shape)
+    got = batchnorm_backward(got_state, cache, d_out)
+    want = _ref_bn_backward(want_state.gamma, normalized, std, d_out)
+    for g, w in zip(got, want):
+        assert np.array_equal(_bits(g), _bits(w))
+
+
+def _ref_layer_forward(layer, h, rng):
+    a = h @ layer.weights.T + layer.bias
+    normalized = std = None
+    if layer.batch_norm is not None:
+        a, normalized, std = _ref_bn_forward(layer.batch_norm, a)
+    act = layer.activation
+    out = _ref_leaky(a, act.slope) if act.kind == "leaky_relu" else _ref_sigmoid(a)
+    mask = None
+    if layer.dropout is not None:
+        mask = rng.bernoulli(layer.dropout.keep, out.shape)
+    cache = (h, a, out, normalized, std, mask)
+    return (out if mask is None else mask * out), cache
+
+
+def _ref_layer_backward(layer, cache, d):
+    h, pre, out, normalized, std, mask = cache
+    if mask is not None:
+        d = d * mask
+    act = layer.activation
+    if act.kind == "leaky_relu":
+        d_a = _ref_leaky_backward(d, pre, act.slope)
+    else:
+        d_a = d * (out * (1.0 - out))
+    bn_grads = []
+    if layer.batch_norm is not None:
+        d_a, *bn_grads = _ref_bn_backward(layer.batch_norm.gamma, normalized, std, d_a)
+    return d_a @ layer.weights, [d_a.T @ h, d_a.sum(axis=0), *bn_grads]
+
+
+def _ref_stack(layers, h, rng):
+    caches = []
+    for layer in layers:
+        h, cache = _ref_layer_forward(layer, h, rng)
+        caches.append(cache)
+    return h, caches
+
+
+def _ref_stack_backward(layers, caches, d):
+    grads = [None] * len(layers)
+    for idx in reversed(range(len(layers))):
+        d, grads[idx] = _ref_layer_backward(layers[idx], caches[idx], d)
+    return d, grads
+
+
+def _ref_phase1(train, cfg):
+    """train_phase1's loop on the reference formulas: the same streams,
+    batches and loss terms, every layer's input gradient formed."""
+    net = build_network(train.n_features, list(cfg.hidden_widths), cfg.latent_dim,
+                        RngStream(substream_seed(cfg.seed, "init")),
+                        dropout_keep=cfg.dropout_keep, bn_momentum=cfg.bn_momentum,
+                        bn_epsilon=cfg.bn_epsilon)
+    theta = parameter_vector(net)
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
+    shuffle_rng, dropout_rng, corruption_rng = (
+        RngStream(substream_seed(cfg.seed, name))
+        for name in ("shuffle", "dropout", "corruption"))
+    w = cfg.weights
+    x_all, y_all = train.features, train.labels.astype(np.float64)
+    logs = []
+    for _ in range(cfg.epochs):
+        order = shuffle_rng.permutation(x_all.shape[0])
+        sums, rows = np.zeros(5), 0
+        for start in range(0, x_all.shape[0], cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            x, y = x_all[idx], y_all[idx]
+            n = idx.size
+            x_tilde = (np.clip(x + corruption_rng.normal(x.shape, std=cfg.corruption_std),
+                               0.0, 1.0) if cfg.corruption_std > 0 else x.copy())
+            z, enc_caches = _ref_stack(net.encoder, x_tilde, dropout_rng)
+            x_hat, dec_caches = _ref_stack(net.decoder, z, dropout_rng)
+            y_hat, clf_cache = _ref_layer_forward(net.classifier, z, None)
+            comps = LossComponents(loss_reconstruction(x, x_hat), loss_latent_variance(z),
+                                   loss_classification(y, y_hat), loss_entropy(y_hat))
+            total, terms = total_loss(comps, w)
+            d_z, dec_grads = _ref_stack_backward(net.decoder, dec_caches,
+                                                 (2.0 / n) * (x_hat - x))
+            y_col = y.reshape(-1, 1)
+            p = np.clip(y_hat, 1e-12, 1.0 - 1e-12)
+            d_y_hat = (w.classifier_weight * (-(1.0 / n)) * (y_col / p - (1 - y_col) / (1 - p))
+                       + w.entropy_weight * (-(1.0 / n)) * np.log(p / (1 - p)))
+            d_z_clf, clf_grads = _ref_layer_backward(net.classifier, clf_cache, d_y_hat)
+            d_z = d_z + d_z_clf
+            d_z = d_z + w.latent_weight * (2.0 / (n * z.shape[1])) * (z - z.mean(axis=0))
+            _, enc_grads = _ref_stack_backward(net.encoder, enc_caches, d_z)
+            grad = np.concatenate([g.ravel() for layer_grads in (*enc_grads, *dec_grads,
+                                                                 clf_grads)
+                                   for g in layer_grads])
+            _ref_adam(m, v, theta, grad, lr=cfg.learning_rate)
+            sums += np.array([*terms.values(), total]) * n
+            rows += n
+        logs.append(sums / rows)
+    return net, np.array(logs)
+
+
+@pytest.mark.parametrize("mode", ["CLAIRE", "PlainAE"])
+def test_train_phase1_matches_reference_step_loop_bit_for_bit(mode):
+    rng = np.random.default_rng(5)
+    features = rng.uniform(size=(150, 30))
+    labels = (features[:, :3].sum(axis=1) > 1.5).astype(np.int64)
+    train = TabularDataset(features, labels, [f"c{j}" for j in range(30)])
+    # 150 rows in batches of 40, 40, 40 and 30: 4 steps an epoch, 12 in all;
+    # batch sizes that are not powers of two, so a division by n and a
+    # multiplication by 1 / n round differently
+    cfg = TrainConfig(mode=mode, epochs=3, batch_size=40, latent_dim=4,
+                      hidden_widths=[16, 8], learning_rate=5e-3, seed=9)
+    net, logs = train_phase1(train, cfg)
+    want_net, want_logs = _ref_phase1(train, cfg)
+    got_logs = np.array([[e.recon, e.latent, e.clf, e.ent, e.total] for e in logs])
+    assert np.array_equal(_bits(got_logs), _bits(want_logs))
+    for (name, got), (_, want) in zip(named_parameters(net), named_parameters(want_net)):
+        assert np.array_equal(_bits(got), _bits(want)), name
+    for got, want in zip([*net.encoder, *net.decoder], [*want_net.encoder, *want_net.decoder]):
+        if got.batch_norm is not None:
+            assert np.array_equal(_bits(got.batch_norm.running_mean),
+                                  _bits(want.batch_norm.running_mean))
+            assert np.array_equal(_bits(got.batch_norm.running_var),
+                                  _bits(want.batch_norm.running_var))
