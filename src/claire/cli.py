@@ -31,7 +31,8 @@ from .model_io import bundle_dict, load_bundle
 from .network import LossWeights
 from .numerics import substream_seed
 from .svm import KernelSpec
-from .training import SvmConfig, TrainConfig, TrainedModel, model_codes, train_pipeline
+from .training import (MODES, SvmConfig, TrainConfig, TrainedModel, model_codes,
+                       train_pipeline)
 
 CONFIG_FORMAT = "claire-config/1"
 
@@ -185,9 +186,11 @@ def build_train_config(cfg: dict) -> TrainConfig:
     kind = (cfg.get("dataset") or {}).get("kind")
     epochs = t["epochs"] if t["epochs"] is not None else (30 if kind == "tep" else 40)
     latent_dim = t["latent_dim"] if t["latent_dim"] is not None else (32 if kind == "tep" else 64)
+    if t["mode"] not in MODES:
+        raise InputError(f"config key 'train.mode' must be one of {MODES}, got {t['mode']!r}")
     rate = t["dropout_rate"]
     if not 0.0 <= rate < 1.0:
-        raise InputError(f"dropout_rate must be in [0, 1), got {rate}")
+        raise InputError(f"config key 'train.dropout_rate' must be in [0, 1), got {rate}")
     return TrainConfig(
         mode=t["mode"], epochs=int(epochs), batch_size=int(t["batch_size"]),
         learning_rate=float(t["learning_rate"]), latent_dim=int(latent_dim),
@@ -218,23 +221,19 @@ def build_svm_config(cfg: dict) -> SvmConfig:
         kernel = KernelSpec.sigmoid(gamma=None if gamma is None else float(gamma),
                                     coef0=0.0 if coef0 is None else float(coef0))
     else:
-        raise InputError(f"unknown kernel kind {kind!r}")
+        raise InputError(f"config key 'svm.kernel' must be linear, polynomial, rbf or "
+                         f"sigmoid, got {kind!r}")
     return SvmConfig(kernel=kernel, c=float(s["c"]), tol=float(s["tol"]),
                      max_passes=int(s["max_passes"]))
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 def write_csv(path: str, header: list[str], rows) -> None:
+    """Rows of Python ints, floats and strings (``.tolist()`` values, not
+    numpy scalars); a float is written as its shortest round-trip repr."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 def write_json(path: str, doc: dict) -> None:
@@ -263,16 +262,17 @@ def cmd_preprocess(cfg: dict) -> int:
     for name, split in (("train", prepared.train), ("test", prepared.test)):
         write_csv(os.path.join(out, f"{name}.csv"),
                   prepared.kept_names + ["label"],
-                  (list(row) + [int(lab)] for row, lab in zip(split.features, split.labels)))
+                  (row + [lab] for row, lab in zip(split.features.tolist(),
+                                                   split.labels.tolist())))
     write_json(os.path.join(out, "preprocess_report.json"), prepared.report.to_json_dict())
     print(f"wrote train.csv, test.csv, preprocess_report.json to {out}")
     return 0
 
 
 def cmd_train(cfg: dict) -> int:
-    prepared = _prepare(cfg)
     train_cfg = build_train_config(cfg)
     svm_cfg = build_svm_config(cfg)
+    prepared = _prepare(cfg)
     model = train_pipeline(prepared, train_cfg, svm_cfg)
     # preprocessing knobs ride along so later commands can replay the split
     model.preprocess = {"drop_threshold": float(cfg["preprocess"]["drop_threshold"]),
@@ -311,8 +311,8 @@ def _replay(model: TrainedModel, cfg: dict) -> TabularDataset:
     pre = model.preprocess or {}
     if raw.features.shape[1] == len(model.original_names):
         # replay guard: the same missing-data census must drop the same columns
-        handled, _ = data_mod.handle_missing(raw, float(pre.get("drop_threshold", 0.30)))
-        if handled.feature_names != model.kept_names:
+        _, drop = data_mod.missing_census(raw.features, float(pre.get("drop_threshold", 0.30)))
+        if [raw.feature_names[j] for j in np.flatnonzero(~drop)] != model.kept_names:
             raise ClaireError(
                 "replayed preprocessing kept a different column set than the model "
                 "bundle records; the dataset does not match the one trained on")
@@ -372,6 +372,10 @@ def cmd_explain(cfg: dict, args) -> int:
     if model.network is None:
         raise InputError("model bundle has no encoder (RawSVM mode); nothing to explain")
     e = cfg["explain"]
+    output, k = e["output"], model.network.latent_dim
+    if output != "mean" and not (isinstance(output, int) and 0 <= output < k):
+        raise InputError(f"config key 'explain.output' must be \"mean\" or a latent "
+                         f"dimension in [0, {k}), got {output!r}")
 
     def flag_or_config(key):
         value = getattr(args, key)
@@ -399,41 +403,43 @@ def cmd_explain(cfg: dict, args) -> int:
     eval_x = test_x[:n_eval]
     eval_labels = test_labels[:n_eval]
 
+    names = attr.feature_names
     write_csv(os.path.join(out, "attributions.csv"),
               ["sample", "feature", "latent_dim", "value"],
-              ((i, attr.feature_names[j], l, attr.values[i, j, l])
-               for i in range(attr.n_samples)
-               for j in range(attr.n_features)
-               for l in range(attr.n_outputs)))
+              ((i, names[j], l, v)
+               for i, sample in enumerate(attr.values.tolist())
+               for j, outputs in enumerate(sample)
+               for l, v in enumerate(outputs)))
     write_json(os.path.join(out, "base_values.json"),
-               {"base_values": [float(v) for v in attr.base_values]})
+               {"base_values": attr.base_values.tolist()})
 
     ranking = global_importance(attr)
     write_csv(os.path.join(out, "importance_global.csv"),
               ["rank", "feature", "msv"] + [f"dim_{l}" for l in range(attr.n_outputs)],
-              ((r + 1, ranking.features[r], ranking.msv[r], *ranking.per_output[r])
-               for r in range(len(ranking.features))))
+              ((r + 1, f, msv, *per_output) for r, (f, msv, per_output) in enumerate(
+                  zip(ranking.features, ranking.msv.tolist(), ranking.per_output.tolist()))))
 
     classes = class_conditional_importance(attr, eval_labels)
-    fail_msv = {f: v for f, v in zip(classes.failure.features, classes.failure.msv)}
-    succ_msv = {f: v for f, v in zip(classes.success.features, classes.success.msv)}
+    fail_msv = dict(zip(classes.failure.features, classes.failure.msv.tolist()))
+    succ_msv = dict(zip(classes.success.features, classes.success.msv.tolist()))
     write_csv(os.path.join(out, "importance_class.csv"),
               ["rank", "feature", "contrast", "failure_msv", "success_msv"],
-              ((r + 1, f, classes.contrast[r], fail_msv[f], succ_msv[f])
-               for r, f in enumerate(classes.contrast_features)))
+              ((r + 1, f, c, fail_msv[f], succ_msv[f]) for r, (f, c) in enumerate(
+                  zip(classes.contrast_features, classes.contrast.tolist()))))
 
-    dims = [d for d in e["beeswarm_dims"] if 0 <= d < attr.n_outputs]
-    for dim in dims:
+    eval_rows = eval_x.tolist()
+    for dim in (d for d in e["beeswarm_dims"] if 0 <= d < attr.n_outputs):
         write_csv(os.path.join(out, f"beeswarm_dim_{dim}.csv"),
                   ["sample", "feature", "feature_value", "shap_value"],
-                  ((i, attr.feature_names[j], eval_x[i, j], attr.values[i, j, dim])
-                   for i in range(attr.n_samples)
-                   for j in range(attr.n_features)))
+                  ((i, names[j], fv, sv)
+                   for i, (row, shap) in enumerate(zip(eval_rows,
+                                                       attr.values[:, :, dim].tolist()))
+                   for j, (fv, sv) in enumerate(zip(row, shap))))
 
     feat_idx = ranking.order[0] if feat is None else feat
     color_idx = (ranking.order[1] if color is None and len(ranking.order) > 1
                  else feat_idx if color is None else color)
-    rows = dependence_export(attr, eval_x, int(feat_idx), int(color_idx), e["output"])
+    rows = dependence_export(attr, eval_x, int(feat_idx), int(color_idx), output)
     write_csv(os.path.join(out, "dependence.csv"),
               ["feature", "feature_value", "attribution", "color_feature", "color_value"],
               ((model.kept_names[int(feat_idx)], fv, sv,

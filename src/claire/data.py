@@ -6,11 +6,21 @@ oversampled training rows and applied to both splits. No statistic of the
 test split influences fitted state.
 
 Label convention everywhere: 1 = success / normal operation, 0 = failure.
+
+Loaders read each file once, and numpy's C parser (``np.loadtxt``) reads
+its numeric block. The per-token parser reads the block again only when
+the C parser refuses it (``NA`` or empty fields, a ragged row, a token
+neither parser reads), when it is blank, or when a fault class or label
+breaks its column's rule. That parser is the reference the C path
+matches bit for bit, the only reader of ``NA`` and empty fields, and the
+only source of the ``path:line`` errors.
 """
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
+from typing import Any, Callable, TextIO
 
 import numpy as np
 
@@ -112,6 +122,78 @@ def _parse_float(token: str, path: str, line_no: int) -> float:
         raise InputError(f"{path}:{line_no}: cannot parse value {token!r}") from exc
 
 
+# A loader's rule for one column of every row: its index, a test of float64
+# values (arrays or scalars) and what the column must hold.
+ColumnRule = tuple[int, Callable[[Any], Any], str]
+
+
+def _integral(v):
+    return np.isfinite(v) & (np.trunc(v) == v)
+
+
+def _zero_or_one(v):
+    return (v == 0.0) | (v == 1.0)
+
+
+def _first_line(fh: TextIO) -> tuple[int, int, str]:
+    """Offset, line number and text of the first non-blank line of ``fh``;
+    the text is "" when there is none."""
+    line_no = 0
+    while True:
+        pos = fh.tell()
+        line = fh.readline()
+        line_no += 1
+        if not line or line.strip():
+            return pos, line_no, line
+
+
+def _numeric_rows(fh: TextIO, path: str, delimiter: str | None, start: int,
+                  width: int | None = None, rule: ColumnRule | None = None) -> np.ndarray:
+    """The lines left in ``fh``, the first of which is line ``start`` of
+    ``path``, as a float64 matrix ``width`` columns wide (by default as wide
+    as its first row). numpy's C parser reads the block in one pass.
+    Anything it refuses (an ``NA`` or empty field, a ragged row, a bad
+    token), an empty block, a block of another width and a value that
+    breaks ``rule`` send it to the per-token parser instead.
+    """
+    pos = fh.tell()
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            x = np.loadtxt(fh, dtype=np.float64, comments=None, delimiter=delimiter,
+                           ndmin=2)
+        if (x.size and x.shape[1] == (width or x.shape[1])
+                and (rule is None or np.all(rule[1](x[:, rule[0]])))):
+            return x
+    except ValueError:
+        pass
+    fh.seek(pos)
+    return _token_rows(fh, path, delimiter, start, width, rule)
+
+
+def _token_rows(fh: TextIO, path: str, delimiter: str | None, start: int,
+                width: int | None = None, rule: ColumnRule | None = None) -> np.ndarray:
+    """The per-token parser that ``_numeric_rows`` falls back to, and the
+    reference it must match. Blank lines are skipped; ``NaN``, ``NA`` and
+    empty tokens (any case) read as NaN, others as ``float`` reads them.
+    It raises every ``path:line`` error a loader reports.
+    """
+    rows: list[list[float]] = []
+    for line_no, line in enumerate(fh, start=start):
+        if not line.strip():
+            continue
+        toks = [t.strip() for t in line.split(delimiter)]
+        if width is None:
+            width = len(toks)
+        elif len(toks) != width:
+            raise InputError(f"{path}:{line_no}: expected {width} columns, got {len(toks)}")
+        values = [_parse_float(t, path, line_no) for t in toks]
+        if rule is not None and not rule[1](values[rule[0]]):
+            raise InputError(f"{path}:{line_no}: {rule[2]}, got {toks[rule[0]]!r}")
+        rows.append(values)
+    return np.array(rows, dtype=np.float64).reshape(len(rows), width or 0)
+
+
 def load_secom(features_path: str, labels_path: str) -> TabularDataset:
     """Load the semiconductor-line format: one whitespace-separated feature
     row per line, plus a separate label file whose first token per line is
@@ -120,21 +202,12 @@ def load_secom(features_path: str, labels_path: str) -> TabularDataset:
     Pass maps to label 1 (success), fail to label 0 (failure). NaN feature
     tokens are preserved as NaN for the missing-data stage.
     """
-    rows: list[list[float]] = []
     try:
         with open(features_path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                values = [_parse_float(t, features_path, line_no) for t in line.split()]
-                if rows and len(values) != len(rows[0]):
-                    raise InputError(
-                        f"{features_path}:{line_no}: expected {len(rows[0])} columns, "
-                        f"got {len(values)}")
-                rows.append(values)
+            features = _numeric_rows(fh, features_path, None, 1)
     except OSError as exc:
         raise InputError(f"cannot read features file {features_path}: {exc}") from exc
-    if not rows:
+    if features.shape[0] == 0:
         raise InputError(f"{features_path}: no feature rows")
 
     labels: list[int] = []
@@ -157,10 +230,9 @@ def load_secom(features_path: str, labels_path: str) -> TabularDataset:
     except OSError as exc:
         raise InputError(f"cannot read labels file {labels_path}: {exc}") from exc
 
-    if len(labels) != len(rows):
+    if len(labels) != features.shape[0]:
         raise InputError(
-            f"label file has {len(labels)} rows but feature file has {len(rows)}")
-    features = np.array(rows, dtype=np.float64)
+            f"label file has {len(labels)} rows but feature file has {features.shape[0]}")
     names = [f"feature_{j}" for j in range(features.shape[1])]
     return TabularDataset(features, np.array(labels), names)
 
@@ -179,46 +251,28 @@ def load_tep(path: str, fault_classes: list[int] | None = None) -> TabularDatase
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = [ln for ln in fh if ln.strip()]
+            pos, line_no, first = _first_line(fh)
+            if not first:
+                raise InputError(f"{path}: empty file")
+            delim = _sniff_delimiter(first)
+            head = [t.strip() for t in first.split(delim)]
+            try:
+                float(head[0])
+            except ValueError:          # a header row
+                names, width, start = head[:-1], len(head), line_no + 1
+            else:
+                names, width, start = None, None, line_no
+                fh.seek(pos)
+            x = _numeric_rows(fh, path, delim, start, width,
+                              (-1, _integral, "fault class must be an integer"))
     except OSError as exc:
         raise InputError(f"cannot read dataset file {path}: {exc}") from exc
-    if not lines:
-        raise InputError(f"{path}: empty file")
-
-    delim = _sniff_delimiter(lines[0])
-    first = [t.strip() for t in lines[0].split(delim)]
-    has_header = False
-    try:
-        float(first[0])
-    except ValueError:
-        has_header = True
-
-    if has_header:
-        names = first[:-1]
-        data_lines = lines[1:]
-        start_no = 2
-    else:
-        names = None
-        data_lines = lines
-        start_no = 1
-    if not data_lines:
+    if x.shape[0] == 0:
         raise InputError(f"{path}: header but no data rows")
+    if x.shape[1] < 2:
+        raise InputError(f"{path}: need at least one variable and a fault class")
 
-    rows, fault_col = [], []
-    for line_no, line in enumerate(data_lines, start=start_no):
-        toks = [t.strip() for t in line.split(delim)]
-        vals = [_parse_float(t, path, line_no) for t in toks]
-        if len(vals) < 2:
-            raise InputError(f"{path}:{line_no}: need at least one variable and a fault class")
-        if rows and len(vals) != len(rows[0]) + 1:
-            raise InputError(f"{path}:{line_no}: inconsistent column count")
-        fc = vals[-1]
-        if not math.isfinite(fc) or fc != int(fc):
-            raise InputError(f"{path}:{line_no}: fault class must be an integer, got {toks[-1]!r}")
-        rows.append(vals[:-1])
-        fault_col.append(int(fc))
-
-    faults = np.array(fault_col)
+    faults = x[:, -1]
     present = set(int(c) for c in np.unique(faults))
     if fault_classes is None:
         selection = sorted(present - {0})
@@ -232,7 +286,7 @@ def load_tep(path: str, fault_classes: list[int] | None = None) -> TabularDatase
             raise InputError("fault class 0 denotes normal operation and cannot be selected")
 
     keep = (faults == 0) | np.isin(faults, selection)
-    features = np.array(rows, dtype=np.float64)[keep]
+    features = x[keep, :-1]
     labels = (faults[keep] == 0).astype(np.int64)
     if names is None:
         names = [f"var_{j}" for j in range(features.shape[1])]
@@ -243,30 +297,40 @@ def load_tep(path: str, fault_classes: list[int] | None = None) -> TabularDatase
 
 def load_labeled_csv(path: str, label_column: str = "label") -> TabularDataset:
     """Load a generic comma-separated table with a header and a 0/1 label column."""
+    need_rows = f"{path}: need a header row and at least one data row"
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = [ln for ln in fh if ln.strip()]
+            _, line_no, first = _first_line(fh)
+            if not first:
+                raise InputError(need_rows)
+            header = [t.strip() for t in first.split(",")]
+            if label_column not in header:
+                raise InputError(f"{path}: no column named {label_column!r} in header")
+            label_idx = header.index(label_column)
+            x = _numeric_rows(fh, path, ",", line_no + 1, len(header),
+                              (label_idx, _zero_or_one, "label must be 0 or 1"))
     except OSError as exc:
         raise InputError(f"cannot read dataset file {path}: {exc}") from exc
-    if len(lines) < 2:
-        raise InputError(f"{path}: need a header row and at least one data row")
-    header = [t.strip() for t in lines[0].split(",")]
-    if label_column not in header:
-        raise InputError(f"{path}: no column named {label_column!r} in header")
-    label_idx = header.index(label_column)
-    rows, labels = [], []
-    for line_no, line in enumerate(lines[1:], start=2):
-        toks = [t.strip() for t in line.split(",")]
-        if len(toks) != len(header):
-            raise InputError(f"{path}:{line_no}: expected {len(header)} columns, got {len(toks)}")
-        vals = [_parse_float(t, path, line_no) for t in toks]
-        lab = vals.pop(label_idx)
-        if lab not in (0.0, 1.0):
-            raise InputError(f"{path}:{line_no}: label must be 0 or 1, got {toks[label_idx]!r}")
-        labels.append(int(lab))
-        rows.append(vals)
+    if x.shape[0] == 0:
+        raise InputError(need_rows)
     names = [h for i, h in enumerate(header) if i != label_idx]
-    return TabularDataset(np.array(rows, dtype=np.float64), np.array(labels), names)
+    return TabularDataset(np.delete(x, label_idx, axis=1),
+                          x[:, label_idx].astype(np.int64), names)
+
+
+def missing_census(features: np.ndarray,
+                   drop_threshold: float = 0.30) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's missing fraction and the mask of the columns it drops,
+    those above ``drop_threshold``. The one place that decides which
+    columns survive, for training and for the replay of a saved model.
+    """
+    if not 0.0 <= drop_threshold <= 1.0:
+        raise InputError(f"drop_threshold must be in [0, 1], got {drop_threshold}")
+    missing_frac = np.isnan(features).mean(axis=0)
+    drop_mask = missing_frac > drop_threshold
+    if np.all(drop_mask):
+        raise DegenerateDataError("every column exceeds the missing-data drop threshold")
+    return missing_frac, drop_mask
 
 
 def handle_missing(ds: TabularDataset,
@@ -274,14 +338,8 @@ def handle_missing(ds: TabularDataset,
     """Drop columns whose missing fraction exceeds ``drop_threshold``; impute
     remaining NaN entries with the column median over non-missing values.
     """
-    if not 0.0 <= drop_threshold <= 1.0:
-        raise InputError(f"drop_threshold must be in [0, 1], got {drop_threshold}")
     x = ds.features
-    missing_frac = np.isnan(x).mean(axis=0)
-    drop_mask = missing_frac > drop_threshold
-    if np.all(drop_mask):
-        raise DegenerateDataError("every column exceeds the missing-data drop threshold")
-
+    missing_frac, drop_mask = missing_census(x, drop_threshold)
     report = PreprocessReport()
     report.dropped_columns = [(ds.feature_names[j], float(missing_frac[j]))
                               for j in np.flatnonzero(drop_mask)]

@@ -135,11 +135,10 @@ def write_line_files(features_path: str, labels_path: str,
                      ds: TabularDataset) -> None:
     """Write the whitespace features file and the -1/1 label file."""
     with open(features_path, "w", encoding="utf-8") as fh:
-        for row in ds.features:
-            fh.write(" ".join("NaN" if np.isnan(v) else repr(float(v)) for v in row))
-            fh.write("\n")
+        for row in ds.features.tolist():
+            fh.write(" ".join(["NaN" if v != v else repr(v) for v in row]) + "\n")
     with open(labels_path, "w", encoding="utf-8") as fh:
-        for i, label in enumerate(ds.labels):
+        for i, label in enumerate(ds.labels.tolist()):
             raw = -1 if label == 1 else 1
             fh.write(f'{raw} "2008-01-01 {i % 24:02d}:00:00"\n')
 
@@ -149,5 +148,5 @@ def write_process_file(path: str, x: np.ndarray, fault_col: np.ndarray,
     with open(path, "w", encoding="utf-8") as fh:
         if header:
             fh.write(",".join([f"var_{j}" for j in range(x.shape[1])] + ["fault"]) + "\n")
-        for row, cls in zip(x, fault_col):
-            fh.write(",".join(repr(float(v)) for v in row) + f",{int(cls)}\n")
+        for row, cls in zip(x.tolist(), fault_col.tolist()):
+            fh.write(",".join([repr(v) for v in row]) + f",{int(cls)}\n")

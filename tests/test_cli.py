@@ -419,19 +419,53 @@ def test_output_dir_of_wrong_type_fails_before_training(workspace, tmp_path, mon
     assert sorted(os.listdir(tmp_path)) == ["config.json"]
 
 
+@pytest.fixture
+def no_loader(monkeypatch):
+    """Every dataset loader fails the test if it is called."""
+    def never(*args, **kwargs):
+        raise AssertionError("a loader ran")
+    for loader in ("load_secom", "load_tep", "load_labeled_csv"):
+        monkeypatch.setattr(f"claire.data.{loader}", never)
+
+
 @pytest.mark.parametrize("dataset,key", [
     ({"kind": "secom", "features": "x.data"}, "'labels'"),
     ({"kind": "tep", "fault_classes": [1]}, "'path'"),
     ({"kind": "csv"}, "'path'"),
 ])
-def test_dataset_missing_its_file_key_is_input_error(tmp_path, monkeypatch, capsys,
+def test_dataset_missing_its_file_key_is_input_error(tmp_path, no_loader, capsys,
                                                      dataset, key):
-    def never(*args, **kwargs):
-        raise AssertionError("a loader ran")
-    for loader in ("load_secom", "load_tep", "load_labeled_csv"):
-        monkeypatch.setattr(f"claire.data.{loader}", never)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"format": "claire-config/1", "dataset": dataset}))
     rc = main(["train", "--config", str(config), "--out", str(tmp_path / "out")])
     _assert_one_line_input_error(rc, capsys.readouterr().err, f"'{dataset['kind']}'", key)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("doc,key", [
+    ({"svm": {"kernel": "foo"}}, "'svm.kernel'"),
+    ({"train": {"mode": "Nope"}}, "'train.mode'"),
+    ({"train": {"dropout_rate": 1.5}}, "'train.dropout_rate'"),
+])
+def test_bad_train_setting_fails_before_the_dataset_is_read(tmp_path, no_loader, capsys,
+                                                           doc, key):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"format": "claire-config/1",
+                                  "dataset": {"kind": "csv", "path": "absent.csv"}, **doc}))
+    rc = main(["train", "--config", str(config), "--out", str(tmp_path / "out")])
+    _assert_one_line_input_error(rc, capsys.readouterr().err, key)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("output", ["foo", 99])
+def test_bad_explain_output_fails_before_the_dataset_is_read(workspace, trained, tmp_path,
+                                                            no_loader, capsys, output):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"format": "claire-config/1",
+                                  "explain": {"output": output}}))
+    out = tmp_path / "out"
+    rc = main(["explain", "--dataset", workspace["data"], "--config", str(config),
+               "--model", os.path.join(trained, "model.json"), "--out", str(out)])
+    _assert_one_line_input_error(rc, capsys.readouterr().err, "'explain.output'",
+                                 repr(output))
+    assert not (out / "attributions.csv").exists()
