@@ -107,7 +107,7 @@ def load_config(path: str | None) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"config file {path} is not valid JSON: {exc}") from exc
@@ -393,12 +393,13 @@ def cmd_explain(cfg: dict, args) -> int:
     per_row = explain_plan(train_x.shape[0], test_x.shape[0], test_x.shape[1],
                            n_bg, n_eval, n_coalitions)
     print(f"explain: {n_eval} rows x {per_row} coalitions x {n_bg} background rows "
-          f"= {n_eval * per_row * n_bg} encoder rows")
+          f"= {n_eval * per_row * n_bg} coalition rows")
     attr = explain_encoder(model.network, train_x, test_x,
                            feature_names=model.kept_names,
                            n_background=n_bg, n_eval=n_eval,
                            n_coalitions=n_coalitions,
-                           seed=substream_seed(int(cfg["seed"]), "shap"))
+                           seed=substream_seed(int(cfg["seed"]), "shap"),
+                           progress=lambda i: print(f"explain: row {i + 1} of {n_eval}"))
     out = _out_dir(cfg)
     eval_x = test_x[:n_eval]
     eval_labels = test_labels[:n_eval]

@@ -205,7 +205,7 @@ def load_secom(features_path: str, labels_path: str) -> TabularDataset:
     try:
         with open(features_path, encoding="utf-8") as fh:
             features = _numeric_rows(fh, features_path, None, 1)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read features file {features_path}: {exc}") from exc
     if features.shape[0] == 0:
         raise InputError(f"{features_path}: no feature rows")
@@ -227,7 +227,7 @@ def load_secom(features_path: str, labels_path: str) -> TabularDataset:
                     labels.append(0)   # fail -> failure
                 else:
                     raise InputError(f"{labels_path}:{line_no}: label must be -1 or 1, got {raw}")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read labels file {labels_path}: {exc}") from exc
 
     if len(labels) != features.shape[0]:
@@ -265,7 +265,7 @@ def load_tep(path: str, fault_classes: list[int] | None = None) -> TabularDatase
                 fh.seek(pos)
             x = _numeric_rows(fh, path, delim, start, width,
                               (-1, _integral, "fault class must be an integer"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read dataset file {path}: {exc}") from exc
     if x.shape[0] == 0:
         raise InputError(f"{path}: header but no data rows")
@@ -309,7 +309,7 @@ def load_labeled_csv(path: str, label_column: str = "label") -> TabularDataset:
             label_idx = header.index(label_column)
             x = _numeric_rows(fh, path, ",", line_no + 1, len(header),
                               (label_idx, _zero_or_one, "label must be 0 or 1"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read dataset file {path}: {exc}") from exc
     if x.shape[0] == 0:
         raise InputError(need_rows)

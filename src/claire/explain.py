@@ -24,16 +24,27 @@ count/drawn so each stratum keeps its mass. Sampling is deterministic
 given the seed. Output per evaluated sample is one attribution per
 (feature, model output) pair.
 
+One call plans once for all its rows (``_plan``). Within a sampled
+stratum the permutations come in blocks of at most ``SAMPLE_BLOCK`` from
+``RngStream.permutations``: a block is never longer than the coalitions
+still missing, and each permutation adds at most one, so the stream gives
+exactly the draws, coalitions and order of one ``permutation`` per
+coalition. The plan holds the membership matrix, the eliminated design and
+its ridge-regularised weighted normal matrix; each explained row then
+forms only its own right-hand side for ``solve_weighted_least_squares``.
+
 ``kernel_shap`` treats f as a black box and evaluates it on every masked
 row: coalitions x background rows per explained row. ``explain_encoder``
-shares the coalition plan and the constrained solve but reads v(S) off
-the encoder's structure. Its inference layers fold into one affine map
-per layer (``network.fold_encoder``). A completed row differs from its
-background row only on S and from x only off S, so layer 0 needs only the
+shares the plan and the constrained solve but reads v(S) off the encoder's
+structure. Its inference layers fold into one affine map per layer
+(``network.fold_encoder``). A completed row differs from its background
+row only on S and from x only off S, so layer 0 needs only the
 min(s, d - s) changed columns, added to precomputed B W0^T or x W0^T.
-The layers after it run on every coalition row. At the line table's
-defaults (d = 560, 3168 coalitions, layer widths 128 and 64) layer 0
-sees 130,675 instead of 1,774,080 column terms per background row. The
+The layers after it run on every coalition row, chunk by chunk, in
+buffers allocated once per call and released when it returns; their
+elementwise passes go slice by slice, so each slice stays in cache. At the line
+table's defaults (d = 560, 3168 coalitions, layer widths 128 and 64) layer
+0 sees 130,675 instead of 1,774,080 column terms per background row. The
 base values and f(x) still come from ``network.encode``.
 """
 from __future__ import annotations
@@ -45,11 +56,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, InterfaceError, ShapeError
-from .numerics import RngStream, as_matrix, solve_weighted_least_squares
+from .numerics import (RngStream, as_matrix, solve_weighted_least_squares,
+                       weighted_normal_matrix)
 
 EXHAUSTIVE_LIMIT = 12
-ENCODER_ROWS = 4096        # encoder rows per chunk of coalitions
+ENCODER_ROWS = 4096        # coalition rows (coalitions x background rows) per chunk
 ENCODER_GATHER = 2**18     # gathered layer-0 weights per chunk
+SAMPLE_BLOCK = 1024        # most permutations the coalition sampler draws at once
+SLICE_VALUES = 2**15       # values per slice of the elementwise passes (256 KiB)
 
 
 @dataclass
@@ -107,18 +121,19 @@ def _membership(coalitions: list[tuple[int, ...]], d: int) -> np.ndarray:
     return mask
 
 
-def _coalition_values(f, x: np.ndarray, background: np.ndarray,
-                      coalitions: list[tuple[int, ...]], width: int) -> np.ndarray:
-    """v(S) for each coalition: exact mean over all background completions."""
+def _coalition_values(f, x: np.ndarray, background: np.ndarray, in_s: np.ndarray,
+                      width: int) -> np.ndarray:
+    """v(S) for each row of the membership ``in_s``: exact mean over all
+    background completions."""
     n_bg, d = background.shape
     rows_per_chunk = max(1, 16384 // n_bg)
-    values = np.empty((len(coalitions), width))
-    for start in range(0, len(coalitions), rows_per_chunk):
-        block = coalitions[start:start + rows_per_chunk]
-        masks = _membership(block, d)
+    values = np.empty((in_s.shape[0], width))
+    for start in range(0, in_s.shape[0], rows_per_chunk):
+        masks = in_s[start:start + rows_per_chunk]
         batch = np.where(masks[:, None, :], x[None, None, :], background[None, :, :])
         out = _call_model(f, batch.reshape(-1, d), width)
-        values[start:start + len(block)] = out.reshape(len(block), n_bg, width).mean(axis=1)
+        values[start:start + masks.shape[0]] = out.reshape(masks.shape[0], n_bg,
+                                                           width).mean(axis=1)
     return values
 
 
@@ -138,10 +153,27 @@ def _encoder_chunks(from_x: np.ndarray, n_changed: np.ndarray, n_bg: int, width:
         yield np.array(block)
 
 
+def _slice_rows(n_bg: int, width: int) -> int:
+    """Rows in one slice of the elementwise passes on a ``width``-wide
+    layer: whole coalitions of ``n_bg`` rows, about SLICE_VALUES values."""
+    return max(1, SLICE_VALUES // (n_bg * width)) * n_bg
+
+
+def _activate(act, a: np.ndarray, scratch: np.ndarray) -> None:
+    """``a = act.apply(a)`` in place; LeakyReLU with 0 < slope <= 1 goes
+    through ``scratch``, at least as large as ``a``, with the same bits."""
+    if act.kind == "leaky_relu" and 0.0 < act.slope <= 1.0:
+        t = scratch[:a.size].reshape(a.shape)
+        np.multiply(a, act.slope, out=t)
+        np.maximum(a, t, out=a)
+    else:
+        a[...] = act.apply(a)
+
+
 def _encoder_coalition_values(folded, x: np.ndarray, background: np.ndarray,
-                              coalitions: list[tuple[int, ...]]) -> np.ndarray:
-    """v(S) for each coalition through the folded encoder of
-    ``network.fold_encoder``, without building the masked rows.
+                              in_s: np.ndarray) -> np.ndarray:
+    """v(S) for each row of the membership ``in_s`` through the folded
+    encoder of ``network.fold_encoder``, without building the masked rows.
 
     With D = x - B, the row that completes x on S with background row r
     reaches layer 0 as P_r + sum over j in S of D_rj * W0[:, j], where
@@ -149,33 +181,64 @@ def _encoder_coalition_values(folded, x: np.ndarray, background: np.ndarray,
     q = x W0^T + b0. Each coalition takes the shorter sum, so only
     min(s, d - s) columns per row enter layer 0. A chunk of coalitions goes
     through layer 0 as one batched matmul, their column lists padded with
-    column d, whose D and W0 entries are zero.
+    column d, whose D and W0 entries are zero. Every chunk writes into the
+    same buffers, sized for the largest chunk. Each layer's matmul runs on
+    the whole chunk; the elementwise passes after it (P or q, the bias, the
+    activation) run slice by slice, so that a slice stays in cache between
+    passes. They act on each value alone, so slicing keeps their bits.
     """
     layers, out_scale = folded
     (w0, b0, act0), rest = layers[0], layers[1:]
     n_bg, d = background.shape
+    h0 = w0.shape[0]
     diff_t = np.zeros((d + 1, n_bg))
     diff_t[:d] = (x[None, :] - background).T
-    w0_t = np.zeros((d + 1, w0.shape[0]))
+    w0_t = np.zeros((d + 1, h0))
     w0_t[:d] = w0.T
     bg_pre, x_pre = background @ w0.T + b0, x @ w0.T + b0
-    in_s = _membership(coalitions, d)
     from_x = 2 * in_s.sum(axis=1) > d
     changed = in_s != from_x[:, None]
     n_changed = changed.sum(axis=1)
-    values = np.empty((len(coalitions), layers[-1][0].shape[0]))
-    for block in _encoder_chunks(from_x, n_changed, n_bg, w0.shape[0]):
+    blocks = list(_encoder_chunks(from_x, n_changed, n_bg, h0))
+    most_gathered = max(block.shape[0] * n_changed[block].max() for block in blocks)
+    most_rows = max(block.shape[0] for block in blocks) * n_bg
+    diff_buf, w0_buf = np.empty(most_gathered * n_bg), np.empty(most_gathered * h0)
+    outs = [np.empty(most_rows * w.shape[0]) for w, _, _ in layers]
+    scratch = np.empty(max(_slice_rows(n_bg, w.shape[0]) * w.shape[0] for w, _, _ in layers))
+    values = np.empty((in_s.shape[0], layers[-1][0].shape[0]))
+    for block in blocks:
+        nb = block.shape[0]
         counts = n_changed[block]
         rows, cols = np.nonzero(changed[block])
         slots = np.arange(rows.shape[0]) - np.repeat(np.cumsum(counts) - counts, counts)
-        idx = np.full((block.shape[0], counts.max()), d)
+        idx = np.full((nb, counts.max()), d)
         idx[rows, slots] = cols
-        moved = np.swapaxes(diff_t[idx], 1, 2) @ w0_t[idx]      # (block, n_bg, h0)
-        pre = x_pre - moved if from_x[block[0]] else moved + bg_pre
-        h = act0.apply(pre.reshape(-1, w0.shape[0]))
-        for w, b, act in rest:
-            h = act.apply(h @ w.T + b)
-        values[block] = h.reshape(block.shape[0], n_bg, -1).mean(axis=1)
+        # mode "clip" leaves the indices, all in range, as they are and, unlike
+        # the default, writes straight into ``out``
+        diff_g = np.take(diff_t, idx, axis=0, mode="clip",
+                         out=diff_buf[:idx.size * n_bg].reshape(*idx.shape, n_bg))
+        w0_g = np.take(w0_t, idx, axis=0, mode="clip",
+                       out=w0_buf[:idx.size * h0].reshape(*idx.shape, h0))
+        n_rows = nb * n_bg
+        h = np.matmul(np.swapaxes(diff_g, 1, 2), w0_g,
+                      out=outs[0][:n_rows * h0].reshape(nb, n_bg, h0)).reshape(n_rows, h0)
+        step = _slice_rows(n_bg, h0)
+        for r in range(0, n_rows, step):
+            pre = h[r:r + step]
+            if from_x[block[0]]:
+                np.subtract(x_pre, pre, out=pre)
+            else:
+                by_background = pre.reshape(-1, n_bg, h0)
+                by_background += bg_pre
+            _activate(act0, pre, scratch)
+        for (w, b, act), out in zip(rest, outs[1:]):
+            h = np.matmul(h, w.T, out=out[:n_rows * w.shape[0]].reshape(n_rows, -1))
+            step = _slice_rows(n_bg, w.shape[0])
+            for r in range(0, n_rows, step):
+                a = h[r:r + step]
+                a += b
+                _activate(act, a, scratch)
+        values[block] = h.reshape(nb, n_bg, -1).mean(axis=1)
     return values * out_scale
 
 
@@ -233,11 +296,10 @@ def _sample_coalitions(d: int, budget: int,
             continue
         seen: set[tuple[int, ...]] = set()
         while len(seen) < want:
-            combo = tuple(sorted(rng.permutation(d)[:s].tolist()))
-            seen.add(combo)
-        for combo in sorted(seen):
-            coalitions.append(combo)
-            weights.append(mass / want)
+            block = rng.permutations(d, min(want - len(seen), SAMPLE_BLOCK))
+            seen.update(map(tuple, np.sort(block[:, :s], axis=1).tolist()))
+        coalitions.extend(sorted(seen))
+        weights.extend([mass / want] * want)
     return coalitions, np.array(weights)
 
 
@@ -254,18 +316,45 @@ def coalition_count(d: int, n_coalitions: int | None = None) -> int:
     return min(n_coalitions, 2**d - 2)
 
 
-def _solve_attribution(coalitions, weights, values, base, fx, d: int) -> np.ndarray:
+@dataclass
+class _Plan:
+    """The coalitions of one call and the parts of the constrained fit that
+    depend on them alone: with z their 0/1 membership, ``design`` is
+    z[:, :-1] - z[:, -1:], ``last`` is z[:, -1:] and ``lhs`` the design's
+    weighted normal matrix. The last three are None when d = 1."""
+    in_s: np.ndarray
+    weights: np.ndarray
+    design: np.ndarray | None
+    last: np.ndarray | None
+    lhs: np.ndarray | None
+
+
+def _plan(d: int, n_coalitions: int | None, seed: int) -> _Plan:
+    budget = coalition_count(d, n_coalitions)
+    if d <= EXHAUSTIVE_LIMIT:
+        coalitions, weights = _enumerate_all(d)
+    else:
+        coalitions, weights = _sample_coalitions(d, budget, RngStream(seed))
+    in_s = _membership(coalitions, d)
+    if d == 1:
+        return _Plan(in_s, weights, None, None, None)
+    last = in_s[:, -1:].astype(np.float64)
+    design = in_s[:, :-1].astype(np.float64, order="C")
+    design -= last
+    return _Plan(in_s, weights, design, last, weighted_normal_matrix(design, weights))
+
+
+def _solve_attribution(plan: _Plan, values, base, fx) -> np.ndarray:
     """Constrained weighted least squares via elimination of the last
     feature: phi_last = (f(x) - base) - sum(other phi).
     """
     excess = fx - base                         # (k,)
-    if d == 1:
+    if plan.design is None:
         return excess[None, :].copy()
-    z = _membership(coalitions, d).astype(np.float64)
-    design = z[:, :-1] - z[:, -1:]
-    targets = values - base[None, :] - z[:, -1:] * excess[None, :]
-    phi_head = solve_weighted_least_squares(design, targets, weights)
-    phi = np.empty((d, values.shape[1]))
+    targets = values - base[None, :] - plan.last * excess[None, :]
+    phi_head = solve_weighted_least_squares(plan.design, targets, plan.weights,
+                                            lhs=plan.lhs)
+    phi = np.empty((plan.design.shape[1] + 1, values.shape[1]))
     phi[:-1] = phi_head
     phi[-1] = excess - phi_head.sum(axis=0)
     return phi
@@ -284,23 +373,20 @@ def _check_rows(x_eval, background) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _attribute(values_of, x_eval: np.ndarray, base: np.ndarray, fx_all: np.ndarray,
-               n_coalitions: int | None, seed: int) -> AttributionTensor:
+               n_coalitions: int | None, seed: int, progress=None) -> AttributionTensor:
     """Plan the coalitions once, then fit every row of ``x_eval``;
-    ``values_of(x, coalitions)`` gives v(S) for one row."""
-    d = x_eval.shape[1]
-    budget = coalition_count(d, n_coalitions)
-    if d <= EXHAUSTIVE_LIMIT:
-        coalitions, weights = _enumerate_all(d)
-    else:
-        coalitions, weights = _sample_coalitions(d, budget, RngStream(seed))
-    values = np.empty((x_eval.shape[0], d, base.shape[0]))
+    ``values_of(x, in_s)`` gives v(S) for one row and each row of the
+    membership ``in_s``, and ``progress(i)``, if given, runs after row i."""
+    plan = _plan(x_eval.shape[1], n_coalitions, seed)
+    values = np.empty((x_eval.shape[0], x_eval.shape[1], base.shape[0]))
     for i in range(x_eval.shape[0]):
-        if coalitions:
-            coalition_vals = values_of(x_eval[i], coalitions)
+        if plan.in_s.shape[0]:
+            coalition_vals = values_of(x_eval[i], plan.in_s)
         else:
             coalition_vals = np.zeros((0, base.shape[0]))
-        values[i] = _solve_attribution(coalitions, weights, coalition_vals,
-                                       base, fx_all[i], d)
+        values[i] = _solve_attribution(plan, coalition_vals, base, fx_all[i])
+        if progress is not None:
+            progress(i)
     return AttributionTensor(values=values, base_values=base)
 
 
@@ -314,7 +400,7 @@ def kernel_shap(f, x_eval: np.ndarray, background: np.ndarray,
     width = base_out.shape[1]
     fx_all = _call_model(f, x_eval, width)
     return _attribute(
-        lambda x, coalitions: _coalition_values(f, x, background, coalitions, width),
+        lambda x, in_s: _coalition_values(f, x, background, in_s, width),
         x_eval, base_out.mean(axis=0), fx_all, n_coalitions, seed)
 
 
@@ -334,13 +420,15 @@ def explain_plan(n_train: int, n_test: int, d: int, n_background: int, n_eval: i
 def explain_encoder(params, train_features: np.ndarray, test_features: np.ndarray,
                     feature_names: list[str] | None = None,
                     n_background: int = 100, n_eval: int = 100,
-                    n_coalitions: int | None = None, seed: int = 0) -> AttributionTensor:
+                    n_coalitions: int | None = None, seed: int = 0,
+                    progress=None) -> AttributionTensor:
     """Kernel attributions of every latent dimension of the encoder.
 
     Background = first ``n_background`` training rows; evaluated samples =
     first ``n_eval`` test rows. Inputs must already be preprocessed. The
     base values and f(x) come from ``network.encode``; the coalition values
     come from the folded encoder (``_encoder_coalition_values``).
+    ``progress(i)``, if given, runs after evaluated sample i is attributed.
     """
     from . import network
 
@@ -353,8 +441,8 @@ def explain_encoder(params, train_features: np.ndarray, test_features: np.ndarra
     fx_all = network.encode(params, x_eval)
     folded = network.fold_encoder(params)
     attr = _attribute(
-        lambda x, coalitions: _encoder_coalition_values(folded, x, background, coalitions),
-        x_eval, base, fx_all, n_coalitions, seed)
+        lambda x, in_s: _encoder_coalition_values(folded, x, background, in_s),
+        x_eval, base, fx_all, n_coalitions, seed, progress)
     attr.feature_names = list(feature_names) if feature_names is not None else None
     return attr
 

@@ -164,7 +164,7 @@ def load_bundle(path: str) -> TrainedModel:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read model bundle {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"model bundle {path} is not valid JSON: {exc}") from exc

@@ -39,13 +39,22 @@ def column_mean_var(m) -> tuple[np.ndarray, np.ndarray]:
     return mean, var
 
 
-def solve_weighted_least_squares(design, targets, weights,
-                                 ridge: float = 1e-10) -> np.ndarray:
+def weighted_normal_matrix(design: np.ndarray, weights: np.ndarray,
+                           ridge: float = 1e-10) -> np.ndarray:
+    """design^T diag(weights) design + ridge * I: the left-hand side of the
+    weighted normal equations, which depends on the design alone."""
+    return design.T @ (design * weights[:, None]) + ridge * np.eye(design.shape[1])
+
+
+def solve_weighted_least_squares(design, targets, weights, ridge: float = 1e-10,
+                                 lhs: np.ndarray | None = None) -> np.ndarray:
     """Solve min_beta sum_i w_i * ||design_i . beta - targets_i||^2.
 
     Solved through the normal equations with a small ridge term
     (ridge * I) added for numerical rescue. ``targets`` may have several
     columns; one coefficient column is returned per target column.
+    Several solves on one design and one set of weights can pass
+    ``lhs = weighted_normal_matrix(design, weights, ridge)`` to form it once.
     """
     design = as_matrix(design, "design")
     targets = np.asarray(targets, dtype=np.float64)
@@ -60,8 +69,8 @@ def solve_weighted_least_squares(design, targets, weights,
             f"weights {weights.shape[0]}")
     if np.any(weights < 0):
         raise ShapeError("weights must be non-negative")
-    wx = design * weights[:, None]
-    lhs = design.T @ wx + ridge * np.eye(design.shape[1])
+    if lhs is None:
+        lhs = weighted_normal_matrix(design, weights, ridge)
     rhs = design.T @ (targets * weights[:, None])
     try:
         beta = np.linalg.solve(lhs, rhs)
@@ -100,6 +109,11 @@ class RngStream:
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
+
+    def permutations(self, n: int, count: int) -> np.ndarray:
+        """(count, n) rows equal to ``count`` successive ``permutation(n)``
+        draws, and the stream is left where those draws leave it."""
+        return self._gen.permuted(np.tile(np.arange(n), (count, 1)), axis=1)
 
     def bernoulli(self, p: float, shape) -> np.ndarray:
         """0/1 float mask with P(1) = p."""

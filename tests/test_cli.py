@@ -294,9 +294,32 @@ def test_explain_prints_its_plan_first(workspace, trained, capsys):
     lines = capsys.readouterr().out.splitlines()
     # 5 rows, 4 features -> 2^4 - 2 coalitions, 20 background rows
     plan = lines.index("explain: 5 rows x 14 coalitions x 20 background rows "
-                       "= 1400 encoder rows")
-    assert plan < next(i for i, l in enumerate(lines)
-                       if l.startswith("wrote attribution exports"))
+                       "= 1400 coalition rows")
+    # then one progress line per explained row, in order, before the exports
+    rows = [lines.index(f"explain: row {i} of 5") for i in range(1, 6)]
+    assert plan < rows[0] and rows == sorted(rows)
+    assert rows[-1] < next(i for i, l in enumerate(lines)
+                           if l.startswith("wrote attribution exports"))
+
+
+def test_explain_solves_once_per_explained_row(workspace, trained, monkeypatch, capsys):
+    """The traced benchmark times ``explain.solve_s`` by wrapping this name."""
+    import claire.explain as explain_mod
+    calls = []
+    solve = explain_mod.solve_weighted_least_squares
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].shape)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(explain_mod, "solve_weighted_least_squares", counting)
+    rc = main(["explain", "--dataset", workspace["data"], "--config",
+               workspace["config"], "--seed", "5", "--n-eval", "2",
+               "--model", os.path.join(trained, "model.json"),
+               "--out", str(workspace["root"] / "explain_solves")])
+    assert rc == 0
+    capsys.readouterr()
+    assert calls == [(14, 4), (14, 4)]       # coalitions x latent dimensions, per row
 
 
 def test_project_refuses_rank_deficient_fit(tmp_path, capsys):
@@ -469,3 +492,32 @@ def test_bad_explain_output_fails_before_the_dataset_is_read(workspace, trained,
     _assert_one_line_input_error(rc, capsys.readouterr().err, "'explain.output'",
                                  repr(output))
     assert not (out / "attributions.csv").exists()
+
+
+@pytest.mark.parametrize("site", ["secom_features", "secom_labels", "tep", "csv",
+                                  "model", "config"])
+def test_non_utf8_input_is_input_error(tmp_path, capsys, site):
+    # one Latin-1 byte (e9, an accented e) in each file the CLI reads
+    bad = tmp_path / "latin1.dat"
+    bad.write_bytes({
+        "secom_features": b"1.0 2.0\n3.0 \xe9\n",
+        "secom_labels": b"-1 \xe9\n1 x\n",
+        "tep": b"v0,fault\n\xe9,0\n",
+        "csv": b"a,label\n\xe9,1\n",
+        "model": b'{"format": "\xe9"}',
+        "config": b'{"format": "claire-config/1", "seed": "\xe9"}',
+    }[site])
+    features, labels = tmp_path / "x.data", tmp_path / "y.data"
+    features.write_text("1.0 2.0\n3.0 4.0\n")
+    labels.write_text("-1 t\n1 t\n")
+    out = str(tmp_path / "out")
+    argv = {
+        "secom_features": ["preprocess", "--dataset", f"secom:{bad}:{labels}"],
+        "secom_labels": ["preprocess", "--dataset", f"secom:{features}:{bad}"],
+        "tep": ["preprocess", "--dataset", f"tep:{bad}"],
+        "csv": ["preprocess", "--dataset", f"csv:{bad}"],
+        "model": ["eval", "--model", str(bad)],
+        "config": ["train", "--config", str(bad)],
+    }[site]
+    rc = main([*argv, "--out", out])
+    _assert_one_line_input_error(rc, capsys.readouterr().err, str(bad), "utf-8")

@@ -11,13 +11,15 @@ import numpy as np
 import pytest
 
 from claire.errors import InputError, ShapeError
-from claire.explain import (AttributionTensor, EXHAUSTIVE_LIMIT, _coalition_values,
-                            _encoder_coalition_values, _enumerate_all, _sample_coalitions,
-                            additivity_gap, class_conditional_importance, coalition_count,
+import claire.explain as explain_mod
+from claire.explain import (AttributionTensor, EXHAUSTIVE_LIMIT, SAMPLE_BLOCK,
+                            _allocate_budget, _call_model, _coalition_values,
+                            _encoder_chunks, _encoder_coalition_values, _enumerate_all,
+                            _membership, _sample_coalitions, _size_mass, additivity_gap, class_conditional_importance, coalition_count,
                             dependence_export, explain_encoder, global_importance,
                             kernel_shap, shapley_kernel_weight)
-from claire.network import build_network, encode, fold_encoder
-from claire.numerics import RngStream
+from claire.network import Activation, build_network, encode, fold_encoder
+from claire.numerics import RngStream, solve_weighted_least_squares
 
 
 def exact_shapley(f, x, background):
@@ -189,8 +191,9 @@ def test_encoder_coalition_values_match_masked_rows(d):
     sizes = {len(c) for c in coalitions}
     # both the small-side and the complement branch, and the tie at d / 2
     assert min(sizes) < d / 2 < max(sizes) and (d % 2 or d // 2 in sizes)
-    got = _encoder_coalition_values(fold_encoder(net), x, background, coalitions)
-    want = _coalition_values(lambda rows: encode(net, rows), x, background, coalitions, 4)
+    in_s = _membership(coalitions, d)
+    got = _encoder_coalition_values(fold_encoder(net), x, background, in_s)
+    want = _coalition_values(lambda rows: encode(net, rows), x, background, in_s, 4)
     assert got.shape == want.shape == (len(coalitions), 4)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -202,11 +205,11 @@ def test_encoder_coalition_values_chunked_like_one_batch(monkeypatch):
     rng = np.random.default_rng(51)
     background = rng.uniform(0, 1, size=(6, d))
     x = rng.uniform(0, 1, size=d)
-    coalitions, _ = _sample_coalitions(d, 200, RngStream(5))
-    whole = _encoder_coalition_values(fold_encoder(net), x, background, coalitions)
+    in_s = _membership(_sample_coalitions(d, 200, RngStream(5))[0], d)
+    whole = _encoder_coalition_values(fold_encoder(net), x, background, in_s)
     monkeypatch.setattr(explain_mod, "ENCODER_ROWS", 6 * 3)
     monkeypatch.setattr(explain_mod, "ENCODER_GATHER", 7 * 20)
-    chunked = _encoder_coalition_values(fold_encoder(net), x, background, coalitions)
+    chunked = _encoder_coalition_values(fold_encoder(net), x, background, in_s)
     assert np.abs(chunked - whole).max() <= 1e-12 * np.abs(whole).max()
 
 
@@ -297,3 +300,178 @@ def test_dependence_export_rows():
 def test_attribution_tensor_properties():
     attr = AttributionTensor(values=np.zeros((4, 6, 3)), base_values=np.zeros(3))
     assert (attr.n_samples, attr.n_features, attr.n_outputs) == (4, 6, 3)
+
+
+
+# References: the per-draw sampler, the allocate-per-layer coalition values
+# and the per-row solve that the planned, buffered route replaced. The
+# route must reproduce them bit for bit.
+
+def per_draw_sample_coalitions(d, budget, rng, stats=None):
+    """One ``permutation`` per draw; ``stats``, if given, gets the draws
+    made, the coalitions they sampled and the largest sampled stratum."""
+    alloc = _allocate_budget(budget, d)
+    coalitions, weights = [], []
+    draws = sampled = largest = 0
+    for s in sorted(alloc):
+        want = alloc[s]
+        if want == 0:
+            continue
+        count = math.comb(d, s)
+        mass = _size_mass(d, s)
+        if want >= count:
+            for combo in itertools.combinations(range(d), s):
+                coalitions.append(combo)
+                weights.append(mass / count)
+            continue
+        sampled, largest = sampled + want, max(largest, want)
+        seen = set()
+        while len(seen) < want:
+            combo = tuple(sorted(rng.permutation(d)[:s].tolist()))
+            draws += 1
+            seen.add(combo)
+        for combo in sorted(seen):
+            coalitions.append(combo)
+            weights.append(mass / want)
+    if stats is not None:
+        stats.update(draws=draws, sampled=sampled, largest=largest)
+    return coalitions, np.array(weights)
+
+
+def per_layer_encoder_coalition_values(folded, x, background, coalitions):
+    layers, out_scale = folded
+    (w0, b0, act0), rest = layers[0], layers[1:]
+    n_bg, d = background.shape
+    diff_t = np.zeros((d + 1, n_bg))
+    diff_t[:d] = (x[None, :] - background).T
+    w0_t = np.zeros((d + 1, w0.shape[0]))
+    w0_t[:d] = w0.T
+    bg_pre, x_pre = background @ w0.T + b0, x @ w0.T + b0
+    in_s = _membership(coalitions, d)
+    from_x = 2 * in_s.sum(axis=1) > d
+    changed = in_s != from_x[:, None]
+    n_changed = changed.sum(axis=1)
+    values = np.empty((len(coalitions), layers[-1][0].shape[0]))
+    for block in _encoder_chunks(from_x, n_changed, n_bg, w0.shape[0]):
+        counts = n_changed[block]
+        rows, cols = np.nonzero(changed[block])
+        slots = np.arange(rows.shape[0]) - np.repeat(np.cumsum(counts) - counts, counts)
+        idx = np.full((block.shape[0], counts.max()), d)
+        idx[rows, slots] = cols
+        moved = np.swapaxes(diff_t[idx], 1, 2) @ w0_t[idx]
+        pre = x_pre - moved if from_x[block[0]] else moved + bg_pre
+        h = act0.apply(pre.reshape(-1, w0.shape[0]))
+        for w, b, act in rest:
+            h = act.apply(h @ w.T + b)
+        values[block] = h.reshape(block.shape[0], n_bg, -1).mean(axis=1)
+    return values * out_scale
+
+
+def per_chunk_coalition_values(f, x, background, coalitions, width):
+    n_bg, d = background.shape
+    rows_per_chunk = max(1, 16384 // n_bg)
+    values = np.empty((len(coalitions), width))
+    for start in range(0, len(coalitions), rows_per_chunk):
+        block = coalitions[start:start + rows_per_chunk]
+        masks = _membership(block, d)
+        batch = np.where(masks[:, None, :], x[None, None, :], background[None, :, :])
+        out = _call_model(f, batch.reshape(-1, d), width)
+        values[start:start + len(block)] = out.reshape(len(block), n_bg, width).mean(axis=1)
+    return values
+
+
+def per_row_attribute(values_of, x_eval, base, fx_all, n_coalitions, seed):
+    d = x_eval.shape[1]
+    if d <= EXHAUSTIVE_LIMIT:
+        coalitions, weights = _enumerate_all(d)
+    else:
+        coalitions, weights = per_draw_sample_coalitions(
+            d, coalition_count(d, n_coalitions), RngStream(seed))
+    values = np.empty((x_eval.shape[0], d, base.shape[0]))
+    for i in range(x_eval.shape[0]):
+        excess = fx_all[i] - base
+        z = _membership(coalitions, d).astype(np.float64)
+        design = z[:, :-1] - z[:, -1:]
+        targets = (values_of(x_eval[i], coalitions) - base[None, :]
+                   - z[:, -1:] * excess[None, :])
+        phi_head = solve_weighted_least_squares(design, targets, weights)
+        values[i, :-1] = phi_head
+        values[i, -1] = excess - phi_head.sum(axis=0)
+    return values
+
+
+@pytest.mark.parametrize("d,budget,seed,redraws,blocks", [
+    (13, 100, 1, True, False), (15, 2000, 2, True, False), (16, 20000, 3, True, True),
+    (60, 500, 3, False, False), (560, 3168, 5, True, False)])
+def test_block_sampler_matches_per_draw_loop(d, budget, seed, redraws, blocks):
+    one, block, stats = RngStream(seed), RngStream(seed), {}
+    want, want_w = per_draw_sample_coalitions(d, budget, one, stats)
+    got, got_w = _sample_coalitions(d, budget, block)
+    assert got == want
+    assert np.array_equal(got_w, want_w)
+    # the block sampler made exactly the per-draw loop's draws
+    assert np.array_equal(block.uniform((4,)), one.uniform((4,)))
+    # what the case covers: draws that repeat a coalition, and a stratum
+    # that needs more than one block
+    assert (stats["draws"] > stats["sampled"]) == redraws
+    assert (stats["largest"] > SAMPLE_BLOCK) == blocks
+
+
+def sigmoid_middle(folded):
+    layers, scale = folded
+    (w, b, _), rest = layers[1], layers[2:]
+    return [layers[0], (w, b, Activation("sigmoid")), *rest], scale
+
+
+def flat_leaky_first(folded):
+    layers, scale = folded
+    w, b, _ = layers[0]
+    return [(w, b, Activation("leaky_relu", 0.0)), *layers[1:]], scale
+
+
+@pytest.mark.parametrize("small_chunks", [False, True])
+@pytest.mark.parametrize("d", [5, 18, 60])
+def test_buffered_encoder_values_match_per_layer_reference(monkeypatch, d, small_chunks):
+    net = trained_like_encoder(d, 70 + d)
+    rng = np.random.default_rng(d)
+    background = rng.uniform(0, 1, size=(6, d))
+    x = rng.uniform(0, 1, size=d)
+    if d <= EXHAUSTIVE_LIMIT:
+        coalitions, _ = _enumerate_all(d)
+    else:
+        coalitions, _ = _sample_coalitions(d, 400, RngStream(d))
+    if small_chunks:
+        monkeypatch.setattr(explain_mod, "ENCODER_ROWS", 6 * 3)
+        monkeypatch.setattr(explain_mod, "ENCODER_GATHER", 7 * 20)
+    in_s = _membership(coalitions, d)
+    for folded in (fold_encoder(net), sigmoid_middle(fold_encoder(net)),
+                   flat_leaky_first(fold_encoder(net))):
+        got = _encoder_coalition_values(folded, x, background, in_s)
+        want = per_layer_encoder_coalition_values(folded, x, background, coalitions)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("d", [6, 20])
+def test_planned_solve_matches_per_row_reference(d):
+    net = trained_like_encoder(d, 80 + d)
+    rng = np.random.default_rng(81 + d)
+    train = rng.uniform(0, 1, size=(12, d))
+    test = rng.uniform(0, 1, size=(4, d))
+    background, x_eval = train[:5], test[:3]
+    base = encode(net, background).mean(axis=0)
+    folded = fold_encoder(net)
+    want = per_row_attribute(
+        lambda x, coalitions: per_layer_encoder_coalition_values(folded, x, background,
+                                                                 coalitions),
+        x_eval, base, encode(net, x_eval), 120, 9)
+    got = explain_encoder(net, train, test, n_background=5, n_eval=3, n_coalitions=120,
+                          seed=9)
+    assert np.array_equal(got.values, want)
+
+    f = interactive_model(d, seed=d)
+    base_out = f(background).mean(axis=0)
+    want = per_row_attribute(
+        lambda x, coalitions: per_chunk_coalition_values(f, x, background, coalitions, 2),
+        x_eval, base_out, f(x_eval), 120, 9)
+    got = kernel_shap(f, x_eval, background, n_coalitions=120, seed=9)
+    assert np.array_equal(got.values, want)

@@ -4,7 +4,8 @@ import pytest
 
 from claire.errors import ConditioningError, DegenerateDataError, ShapeError
 from claire.numerics import (RngStream, as_matrix, as_vector, column_mean_var,
-                             solve_weighted_least_squares, substream_seed)
+                             solve_weighted_least_squares, substream_seed,
+                             weighted_normal_matrix)
 
 
 def test_as_matrix_rejects_wrong_ndim():
@@ -81,6 +82,17 @@ def test_wls_errors():
         solve_weighted_least_squares(np.full((3, 2), np.nan), np.zeros(3), np.ones(3))
 
 
+def test_wls_with_a_formed_normal_matrix_is_the_same_solve():
+    rng = np.random.default_rng(6)
+    design = rng.normal(size=(40, 5))
+    weights = rng.uniform(0.1, 2.0, size=40)
+    lhs = weighted_normal_matrix(design, weights)
+    for _ in range(3):
+        targets = rng.normal(size=(40, 2))
+        assert np.array_equal(solve_weighted_least_squares(design, targets, weights, lhs=lhs),
+                              solve_weighted_least_squares(design, targets, weights))
+
+
 def test_substream_seed_stable_and_distinct():
     assert substream_seed(42, "init") == substream_seed(42, "init")
     names = ["init", "shuffle", "dropout", "corruption", "smo", "shap", "split"]
@@ -117,3 +129,14 @@ def test_rng_stream_draw_kinds():
     assert abs(mask.mean() - 0.7) < 0.02
     u = rng.uniform((1000,), 2.0, 3.0)
     assert u.min() >= 2.0 and u.max() <= 3.0
+
+
+@pytest.mark.parametrize("n,count", [(1, 3), (5, 0), (13, 7), (560, 40)])
+def test_permutations_equal_successive_permutation_draws(n, count):
+    one, block = RngStream(17), RngStream(17)
+    want = np.array([one.permutation(n) for _ in range(count)],
+                    dtype=np.int64).reshape(count, n)
+    got = block.permutations(n, count)
+    assert got.shape == (count, n) and np.array_equal(got, want)
+    # the stream is left where the single draws leave it
+    assert np.array_equal(block.uniform((8,)), one.uniform((8,)))
