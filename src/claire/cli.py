@@ -25,8 +25,8 @@ from .data import TabularDataset, stratified_split
 from .errors import (ClaireError, ConditioningError, DegenerateDataError,
                      DivergenceError, InputError, NumericError, ShapeError, StateError)
 from .evaluate import compute_metrics, lda_fit, project_export
-from .explain import (class_conditional_importance, dependence_export, explain_encoder,
-                      explain_plan, global_importance)
+from .explain import (class_conditional_importance, dependence_export, explain_budgets,
+                      explain_encoder, explain_plan, global_importance)
 from .model_io import bundle_dict, load_bundle
 from .network import LossWeights
 from .numerics import substream_seed
@@ -386,6 +386,7 @@ def cmd_explain(cfg: dict, args) -> int:
     n_coalitions = flag_or_config("n_coalitions")
     if n_coalitions is not None:
         n_coalitions = int(n_coalitions)
+    explain_budgets(len(model.kept_names), n_bg, n_eval, n_coalitions)
     feat, color = (None if e[key] is None else _column_index(model, key, e[key])
                    for key in ("dependence_feature", "dependence_color"))
     train, test = _split(model, _replay(model, cfg))

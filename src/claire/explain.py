@@ -16,22 +16,27 @@ weight; they are enforced exactly as constraints (intercept = v(empty),
 attributions sum to f(x) - v(empty)) by eliminating one unknown, so the
 additivity identity holds by construction.
 
-All 2^d coalitions are enumerated when d <= 12. Otherwise coalition sizes
-are stratified by their total kernel mass (d - 1) / (s * (d - s)): strata
-that fit in the remaining budget are enumerated fully, the rest are
-sampled without replacement within the stratum and reweighted by
-count/drawn so each stratum keeps its mass. Sampling is deterministic
-given the seed. Output per evaluated sample is one attribution per
-(feature, model output) pair.
+All 2^d coalitions are enumerated when d <= 12. Otherwise the sampling is
+paired (antithetic; Covert & Lee 2021, "Improving KernelSHAP"): every
+sampled coalition S comes with its complement S^c. Sizes s and d - s form
+a pair of strata with the same count, and the pairs share the budget in
+proportion to their total kernel mass, (d - 1) / (s * (d - s)) per
+stratum. A pair that fits its share is enumerated in full; otherwise
+distinct s-subsets are sampled without replacement and their complements
+fill stratum d - s. At s = d / 2 the stratum draws distinct pairs
+{S, S^c}. Every coalition weighs its stratum's mass over the stratum's
+count, so each stratum keeps its mass. A budget is rounded down to an even
+count. Sampling is deterministic given the seed. Output per evaluated
+sample is one attribution per (feature, model output) pair.
 
 One call plans once for all its rows (``_plan``). Within a sampled
 stratum the permutations come in blocks of at most ``SAMPLE_BLOCK`` from
-``RngStream.permutations``: a block is never longer than the coalitions
+``RngStream.permutations``: a block is never longer than the subsets
 still missing, and each permutation adds at most one, so the stream gives
-exactly the draws, coalitions and order of one ``permutation`` per
-coalition. The plan holds the membership matrix, the eliminated design and
-its ridge-regularised weighted normal matrix; each explained row then
-forms only its own right-hand side for ``solve_weighted_least_squares``.
+exactly the draws, coalitions and order of one ``permutation`` per draw.
+The plan holds the membership matrix, the eliminated design and its
+ridge-regularised weighted normal matrix; each explained row then forms
+only its own right-hand side for ``solve_weighted_least_squares``.
 
 ``kernel_shap`` treats f as a black box and evaluates it on every masked
 row: coalitions x background rows per explained row. ``explain_encoder``
@@ -43,8 +48,8 @@ min(s, d - s) changed columns, added to precomputed B W0^T or x W0^T.
 The layers after it run on every coalition row, chunk by chunk, in
 buffers allocated once per call and released when it returns; their
 elementwise passes go slice by slice, so each slice stays in cache. At the line
-table's defaults (d = 560, 3168 coalitions, layer widths 128 and 64) layer
-0 sees 130,675 instead of 1,774,080 column terms per background row. The
+table's defaults (d = 560, 1584 coalitions, layer widths 128 and 64) layer
+0 sees 36,940 instead of 887,040 column terms per background row. The
 base values and f(x) still come from ``network.encode``.
 """
 from __future__ import annotations
@@ -109,16 +114,6 @@ def _call_model(f, batch: np.ndarray, expected_width: int | None) -> np.ndarray:
         raise InterfaceError(
             f"model output width changed between calls: {expected_width} then {out.shape[1]}")
     return out
-
-
-def _membership(coalitions: list[tuple[int, ...]], d: int) -> np.ndarray:
-    """(coalitions, d) boolean matrix, True where a feature is in the coalition."""
-    rows = np.repeat(np.arange(len(coalitions)), [len(c) for c in coalitions])
-    cols = np.fromiter(itertools.chain.from_iterable(coalitions), dtype=np.intp,
-                       count=rows.shape[0])
-    mask = np.zeros((len(coalitions), d), dtype=bool)
-    mask[rows, cols] = True
-    return mask
 
 
 def _coalition_values(f, x: np.ndarray, background: np.ndarray, in_s: np.ndarray,
@@ -242,78 +237,122 @@ def _encoder_coalition_values(folded, x: np.ndarray, background: np.ndarray,
     return values * out_scale
 
 
-def _enumerate_all(d: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    coalitions, weights = [], []
-    for s in range(1, d):
-        w = shapley_kernel_weight(d, s)
-        for combo in itertools.combinations(range(d), s):
-            coalitions.append(combo)
-            weights.append(w)
-    return coalitions, np.array(weights)
+def _combinations(d: int, s: int, count: int) -> np.ndarray:
+    """Membership rows of the first ``count`` s-subsets of range(d), in
+    lexicographic order."""
+    combos = np.array(list(itertools.islice(itertools.combinations(range(d), s), count)),
+                      dtype=np.intp).reshape(count, s)
+    rows = np.zeros((count, d), dtype=bool)
+    np.put_along_axis(rows, combos, True, axis=1)
+    return rows
 
 
-def _allocate_budget(budget: int, d: int) -> dict[int, int]:
-    """Split the coalition budget over sizes proportionally to kernel mass."""
-    sizes = list(range(1, d))
-    counts = {s: math.comb(d, s) for s in sizes}
-    masses = {s: _size_mass(d, s) for s in sizes}
-    alloc = {s: 0 for s in sizes}
+def _stack(d: int, strata: list[tuple[np.ndarray, float]]) -> tuple[np.ndarray, np.ndarray]:
+    """One membership matrix and weight vector from (rows, weight per row)
+    strata, in order."""
+    in_s = np.concatenate([np.zeros((0, d), dtype=bool)] + [rows for rows, _ in strata])
+    weights = np.concatenate([np.zeros(0)] + [np.full(rows.shape[0], w) for rows, w in strata])
+    return in_s, weights
+
+
+def _enumerate_all(d: int) -> tuple[np.ndarray, np.ndarray]:
+    return _stack(d, [(_combinations(d, s, math.comb(d, s)), shapley_kernel_weight(d, s))
+                      for s in range(1, d)])
+
+
+def _allocate_budget(budget: int, masses: dict[int, float],
+                     counts: dict[int, int]) -> dict[int, int]:
+    """Split ``budget`` over the keys of ``masses`` in proportion to their
+    mass, giving key k at most counts[k]."""
+    keys = sorted(masses)
+    alloc = {k: 0 for k in keys}
     left = budget
     while left > 0:
-        active = [s for s in sizes if alloc[s] < counts[s]]
+        active = [k for k in keys if alloc[k] < counts[k]]
         if not active:
             break
-        total = sum(masses[s] for s in active)
+        total = sum(masses[k] for k in active)
         gave = 0
-        for s in active:
-            take = min(int(left * masses[s] / total), counts[s] - alloc[s])
-            alloc[s] += take
+        for k in active:
+            take = min(int(left * masses[k] / total), counts[k] - alloc[k])
+            alloc[k] += take
             gave += take
         if gave == 0:
-            for s in sorted(active, key=lambda s: (-masses[s], s)):
+            for k in sorted(active, key=lambda k: (-masses[k], k)):
                 if gave >= left:
                     break
-                alloc[s] += 1
+                alloc[k] += 1
                 gave += 1
         left -= gave
     return alloc
 
 
+def _pair_count(d: int, s: int) -> int:
+    """How many pairs {S, S^c} with |S| = s <= d / 2 there are: C(d, s), or
+    half that at s = d / 2, where S and S^c have the same size."""
+    return math.comb(d, s) // (2 if 2 * s == d else 1)
+
+
+def _allocate_pairs(budget: int, d: int) -> dict[int, int]:
+    """How many pairs {S, S^c} of each size s = |S| <= d / 2 the paired
+    sampler takes from a budget of coalitions."""
+    sizes = range(1, d // 2 + 1)
+    return _allocate_budget(budget // 2,
+                            {s: _size_mass(d, s) * (1 if 2 * s == d else 2) for s in sizes},
+                            {s: _pair_count(d, s) for s in sizes})
+
+
+def _draw_distinct(d: int, s: int, want: int, rng: RngStream) -> np.ndarray:
+    """Membership rows of ``want`` distinct s-subsets, in lexicographic order.
+    Each permutation proposes its first s entries; at s = d / 2 a subset
+    stands for its pair and is taken as the member holding feature 0. A
+    stratum is deduplicated and ordered as packed bytes: with feature 0 as
+    the first bit, descending bytes are ascending lexicographic order."""
+    key = np.dtype((np.void, (d + 7) // 8))
+    seen = np.zeros(0, dtype=key)
+    while seen.shape[0] < want:
+        block = rng.permutations(d, min(want - seen.shape[0], SAMPLE_BLOCK))
+        rows = np.zeros(block.shape, dtype=bool)
+        np.put_along_axis(rows, block[:, :s], True, axis=1)
+        if 2 * s == d:
+            rows ^= ~rows[:, :1]
+        packed = np.packbits(rows, axis=1).view(key).ravel()
+        seen = np.unique(np.concatenate([seen, packed]))
+    return np.unpackbits(seen.view(np.uint8).reshape(want, -1), axis=1,
+                         count=d)[::-1].view(bool)
+
+
 def _sample_coalitions(d: int, budget: int,
-                       rng: RngStream) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    alloc = _allocate_budget(budget, d)
-    coalitions, weights = [], []
-    for s in sorted(alloc):
-        want = alloc[s]
+                       rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
+    """Paired coalitions: for each size s <= d / 2 its share of the budget
+    in subsets S, then their complements; S and S^c weigh the same. A pair
+    of strata that fits its share is enumerated in full, and every coalition
+    weighs its stratum's kernel mass over the stratum's count."""
+    strata = []
+    for s, want in _allocate_pairs(budget, d).items():
         if want == 0:
             continue
-        count = math.comb(d, s)
-        mass = _size_mass(d, s)
-        if want >= count:
-            for combo in itertools.combinations(range(d), s):
-                coalitions.append(combo)
-                weights.append(mass / count)
-            continue
-        seen: set[tuple[int, ...]] = set()
-        while len(seen) < want:
-            block = rng.permutations(d, min(want - len(seen), SAMPLE_BLOCK))
-            seen.update(map(tuple, np.sort(block[:, :s], axis=1).tolist()))
-        coalitions.extend(sorted(seen))
-        weights.extend([mass / want] * want)
-    return coalitions, np.array(weights)
+        if want == _pair_count(d, s):
+            first = _combinations(d, s, want)
+        else:
+            first = _draw_distinct(d, s, want, rng)
+        weight = _size_mass(d, s) / (2 * want if 2 * s == d else want)
+        strata += [(first, weight), (~first, weight)]
+    return _stack(d, strata)
 
 
 def coalition_count(d: int, n_coalitions: int | None = None) -> int:
     """How many coalitions the attribution of one row evaluates: all
     2^d - 2 proper ones when d <= EXHAUSTIVE_LIMIT, else the budget
-    (default 2d + 2048), capped at 2^d - 2."""
+    (default d + 1024) rounded down to even, as sampled coalitions come with
+    their complements, and capped at 2^d - 2."""
     if d <= EXHAUSTIVE_LIMIT:
         return 2**d - 2
     if n_coalitions is None:
-        n_coalitions = 2 * d + 2048
+        n_coalitions = d + 1024
     if n_coalitions < d + 2:
         raise InputError(f"n_coalitions must be at least d + 2 = {d + 2}, got {n_coalitions}")
-    return min(n_coalitions, 2**d - 2)
+    return min(n_coalitions - n_coalitions % 2, 2**d - 2)
 
 
 @dataclass
@@ -332,10 +371,9 @@ class _Plan:
 def _plan(d: int, n_coalitions: int | None, seed: int) -> _Plan:
     budget = coalition_count(d, n_coalitions)
     if d <= EXHAUSTIVE_LIMIT:
-        coalitions, weights = _enumerate_all(d)
+        in_s, weights = _enumerate_all(d)
     else:
-        coalitions, weights = _sample_coalitions(d, budget, RngStream(seed))
-    in_s = _membership(coalitions, d)
+        in_s, weights = _sample_coalitions(d, budget, RngStream(seed))
     if d == 1:
         return _Plan(in_s, weights, None, None, None)
     last = in_s[:, -1:].astype(np.float64)
@@ -404,17 +442,28 @@ def kernel_shap(f, x_eval: np.ndarray, background: np.ndarray,
         x_eval, base_out.mean(axis=0), fx_all, n_coalitions, seed)
 
 
+def explain_budgets(d: int, n_background: int, n_eval: int, n_coalitions: int | None) -> int:
+    """Check the budgets of ``explain_encoder`` that need no data rows;
+    returns the coalitions it evaluates per explained row."""
+    if n_background < 1:
+        raise InputError(f"n_background must be at least 1, got {n_background}")
+    if n_eval < 1:
+        raise InputError(f"n_eval must be at least 1, got {n_eval}")
+    if n_coalitions is not None and n_coalitions < 1:
+        raise InputError(f"n_coalitions must be at least 1, got {n_coalitions}")
+    return coalition_count(d, n_coalitions)
+
+
 def explain_plan(n_train: int, n_test: int, d: int, n_background: int, n_eval: int,
                  n_coalitions: int | None) -> int:
     """Check the budgets of ``explain_encoder`` against the rows it gets;
     returns the coalitions it evaluates per explained row."""
-    if n_background < 1 or n_background > n_train:
+    per_row = explain_budgets(d, n_background, n_eval, n_coalitions)
+    if n_background > n_train:
         raise InputError(f"n_background must be in [1, {n_train}], got {n_background}")
-    if n_eval < 1 or n_eval > n_test:
+    if n_eval > n_test:
         raise InputError(f"n_eval must be in [1, {n_test}], got {n_eval}")
-    if n_coalitions is not None and n_coalitions < 1:
-        raise InputError(f"n_coalitions must be at least 1, got {n_coalitions}")
-    return coalition_count(d, n_coalitions)
+    return per_row
 
 
 def explain_encoder(params, train_features: np.ndarray, test_features: np.ndarray,

@@ -160,6 +160,49 @@ def save_bundle(path: str, model: TrainedModel) -> None:
         fh.write("\n")
 
 
+_REQUIRED = object()
+
+
+def _section(path: str, doc: dict, key: str, parse, default=_REQUIRED):
+    """``parse(doc[key])``, or ``default`` when the key is absent and has one.
+    A missing required key, or a value that ``parse`` cannot read, is an
+    InputError naming the bundle and the key."""
+    if key not in doc:
+        if default is _REQUIRED:
+            raise InputError(f"model bundle {path} has no {key!r} key")
+        return default
+    try:
+        return parse(doc[key])
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+        raise InputError(f"model bundle {path} has a malformed {key!r} key: "
+                         f"{type(exc).__name__}: {exc}") from exc
+
+
+def _typed(*kinds):
+    """A parse that passes a value of one of ``kinds`` and refuses the rest."""
+    def check(value):
+        if not isinstance(value, kinds):
+            raise TypeError(f"expected {' or '.join(k.__name__ for k in kinds)}, "
+                            f"got {type(value).__name__}")
+        return value
+    return check
+
+
+def _preprocessing_from(pre: dict) -> dict:
+    return dict(original_names=list(pre["original_feature_names"]),
+                kept_names=list(pre["kept_feature_names"]),
+                medians={k: float(v) for k, v in pre["medians"].items()},
+                scaler=ScalerState(col_min=np.array(pre["scaler"]["col_min"], dtype=np.float64),
+                                   col_max=np.array(pre["scaler"]["col_max"], dtype=np.float64),
+                                   fitted=True),
+                report=PreprocessReport.from_json_dict(pre["report"]))
+
+
+def _epoch_logs_from(logs: list) -> list[EpochLog]:
+    return [EpochLog(epoch=e["epoch"], recon=e["recon"], latent=e["latent"], clf=e["clf"],
+                     ent=e["ent"], total=e["total"]) for e in logs]
+
+
 def load_bundle(path: str) -> TrainedModel:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -168,25 +211,22 @@ def load_bundle(path: str) -> TrainedModel:
         raise InputError(f"cannot read model bundle {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"model bundle {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InputError(f"model bundle {path} holds a JSON {type(doc).__name__}, "
+                         f"not an object")
     if doc.get("format") != MODEL_FORMAT:
         raise InputError(
             f"model bundle {path} has format {doc.get('format')!r}, expected {MODEL_FORMAT!r}")
-    pre = doc["preprocessing"]
-    scaler = ScalerState(col_min=np.array(pre["scaler"]["col_min"], dtype=np.float64),
-                         col_max=np.array(pre["scaler"]["col_max"], dtype=np.float64),
-                         fitted=True)
+    section = lambda key, parse, default=_REQUIRED: _section(path, doc, key, parse, default)
+    optional_dict = _typed(dict, type(None))
     return TrainedModel(
-        mode=doc["mode"], seed=doc["seed"],
-        network=_network_from(doc["network"]) if doc["network"] is not None else None,
-        svm=_svm_from(doc["svm"]),
-        train_config=_train_config_from(doc["train_config"]),
-        original_names=list(pre["original_feature_names"]),
-        kept_names=list(pre["kept_feature_names"]),
-        medians={k: float(v) for k, v in pre["medians"].items()},
-        scaler=scaler,
-        report=PreprocessReport.from_json_dict(pre["report"]),
-        epoch_logs=[EpochLog(epoch=e["epoch"], recon=e["recon"], latent=e["latent"],
-                             clf=e["clf"], ent=e["ent"], total=e["total"])
-                    for e in doc.get("epoch_logs", [])],
-        dataset=doc.get("dataset"), preprocess=doc.get("preprocess"),
+        **section("preprocessing", _preprocessing_from),
+        mode=section("mode", _typed(str)), seed=section("seed", _typed(int)),
+        network=section("network",
+                        lambda net: _network_from(net) if net is not None else None),
+        svm=section("svm", _svm_from),
+        train_config=section("train_config", _train_config_from),
+        epoch_logs=section("epoch_logs", _epoch_logs_from, []),
+        dataset=section("dataset", optional_dict, None),
+        preprocess=section("preprocess", optional_dict, None),
     )

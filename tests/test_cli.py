@@ -362,7 +362,8 @@ def test_bad_tep_fault_filter_is_input_error(workspace, capsys):
 
 
 @pytest.mark.parametrize("flag", ["--n-eval", "--n-background", "--n-coalitions"])
-def test_explain_rejects_zero_budgets(workspace, trained, capsys, flag):
+def test_explain_rejects_zero_budgets(workspace, trained, no_loader, capsys, flag):
+    # before the dataset is read: the loaders fail the test if called
     rc = main(["explain", "--dataset", workspace["data"], "--config",
                workspace["config"], "--seed", "5",
                "--model", os.path.join(trained, "model.json"),
@@ -521,3 +522,66 @@ def test_non_utf8_input_is_input_error(tmp_path, capsys, site):
     }[site]
     rc = main([*argv, "--out", out])
     _assert_one_line_input_error(rc, capsys.readouterr().err, str(bad), "utf-8")
+
+
+@pytest.mark.parametrize("command", ["eval", "explain", "project"])
+@pytest.mark.parametrize("doc,needle", [([1, 2], "not an object"),
+                                        ({"format": "claire-model/1"}, "'preprocessing'"),
+                                        ({"format": "claire-model/1", "preprocessing": 5},
+                                         "'preprocessing'")])
+def test_bundle_of_the_wrong_shape_is_input_error(workspace, tmp_path, no_loader, capsys,
+                                                  command, doc, needle):
+    bundle = tmp_path / "model.json"
+    bundle.write_text(json.dumps(doc))
+    rc = main([command, "--dataset", workspace["data"], "--model", str(bundle),
+               "--out", str(tmp_path / "out")])
+    _assert_one_line_input_error(rc, capsys.readouterr().err, str(bundle), needle)
+
+
+@pytest.fixture(scope="module")
+def wide_trained(tmp_path_factory):
+    """A CLAIRE model on 14 columns, past the exhaustive limit of 12."""
+    root = tmp_path_factory.mktemp("wide")
+    rng = np.random.default_rng(14)
+    data = root / "wide.csv"
+    with open(data, "w", encoding="utf-8") as fh:
+        fh.write("label," + ",".join(f"c{j}" for j in range(14)) + "\n")
+        for i in range(80):
+            row = np.clip(rng.normal(0.3 + 0.4 * (i % 2), 0.08, 14), 0, 1)
+            fh.write(f"{i % 2}," + ",".join(repr(float(v)) for v in row) + "\n")
+    config = _write_config(str(root / "config.json"))
+    out = str(root / "model_out")
+    assert main(["train", "--dataset", f"csv:{data}", "--config", config, "--seed", "3",
+                 "--out", out]) == 0
+    return {"data": f"csv:{data}", "config": config, "model": os.path.join(out, "model.json"),
+            "root": root}
+
+
+def test_explain_checks_coalitions_against_d_before_the_dataset_is_read(wide_trained,
+                                                                        no_loader, capsys):
+    out = wide_trained["root"] / "early_budget"
+    rc = main(["explain", "--dataset", wide_trained["data"], "--config",
+               wide_trained["config"], "--model", wide_trained["model"], "--out", str(out),
+               "--n-coalitions", "5"])
+    _assert_one_line_input_error(rc, capsys.readouterr().err, "n_coalitions", "d + 2 = 16")
+    assert not out.exists()
+
+
+def test_explain_plan_line_counts_the_sampled_coalitions(wide_trained, monkeypatch, capsys):
+    import claire.explain as explain_mod
+    rows = []
+    solve = explain_mod.solve_weighted_least_squares
+
+    def counting(*args, **kwargs):
+        rows.append(args[1].shape[0])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(explain_mod, "solve_weighted_least_squares", counting)
+    rc = main(["explain", "--dataset", wide_trained["data"], "--config",
+               wide_trained["config"], "--model", wide_trained["model"], "--n-eval", "2",
+               "--n-coalitions", "101", "--out", str(wide_trained["root"] / "plan_line")])
+    assert rc == 0
+    # an odd budget drops one coalition: sampled coalitions come with their complements
+    assert ("explain: 2 rows x 100 coalitions x 20 background rows = 4000 coalition rows"
+            in capsys.readouterr().out.splitlines())
+    assert rows == [100, 100]
