@@ -1,10 +1,10 @@
 """Command-line interface.
 
-Subcommands: preprocess, train, eval, explain, project. Every command
-reads an optional JSON config (format "claire-config/1"), lets flags
-override config values, and writes UTF-8 CSV/JSON files into the output
-directory. No timestamps are written, so a command re-run with the same
-config and seed reproduces its outputs byte for byte.
+Subcommands: preprocess, train, eval, explain, project. Every setting is
+one entry of SETTINGS (DATASET_KINDS for the dataset's fields): the
+defaults, then an optional JSON config ("claire-config/1"), then the flags,
+all checked before any data is read. Outputs are UTF-8 CSV/JSON files in
+the output directory, with no timestamps, so a re-run reproduces them.
 
 Exit codes: 0 success, 2 input or validation problem, 3 numeric
 divergence during training, 4 internal invariant breach.
@@ -14,23 +14,25 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import traceback
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import data as data_mod
 from .data import TabularDataset, stratified_split
-from .errors import (ClaireError, ConditioningError, DegenerateDataError,
-                     DivergenceError, InputError, NumericError, ShapeError, StateError)
+from .errors import (ClaireError, ConditioningError, DegenerateDataError, InputError,
+                     NumericError, ShapeError, StateError)
 from .evaluate import compute_metrics, lda_fit, project_export
 from .explain import (class_conditional_importance, dependence_export, explain_budgets,
                       explain_encoder, explain_plan, global_importance)
 from .model_io import bundle_dict, load_bundle
 from .network import LossWeights
 from .numerics import substream_seed
-from .svm import KernelSpec
+from .svm import KERNELS, KernelSpec, predict_labels
 from .training import (MODES, SvmConfig, TrainConfig, TrainedModel, model_codes,
                        train_pipeline)
 
@@ -39,71 +41,123 @@ CONFIG_FORMAT = "claire-config/1"
 INPUT_ERRORS = (InputError, ShapeError, StateError, DegenerateDataError, ConditioningError)
 
 
-def _default_config() -> dict:
-    return {
-        "format": CONFIG_FORMAT,
-        "seed": 42,
-        "output_dir": "claire_out",
-        "dataset": None,
-        "preprocess": {"drop_threshold": 0.30, "test_fraction": 0.20},
-        "train": {
-            "mode": "CLAIRE", "epochs": None, "batch_size": 64, "learning_rate": 1e-3,
-            "latent_dim": None, "hidden_widths": [128, 64],
-            "latent_weight": 0.1, "classifier_weight": 1.0, "entropy_weight": 0.01,
-            "corruption_std": 0.1, "dropout_rate": 0.3,
-            "bn_momentum": 0.9, "bn_epsilon": 1e-5,
-        },
-        "svm": {"kernel": "rbf", "gamma": None, "degree": 3, "coef0": None,
-                "c": 1.0, "tol": 1e-3, "max_passes": 100},
-        "explain": {"n_background": 100, "n_eval": 100, "n_coalitions": None,
-                    "beeswarm_dims": [0, 5, 10, 15],
-                    "dependence_feature": None, "dependence_color": None,
-                    "output": "mean"},
-    }
+class Rule(NamedTuple):
+    """A config key's default, its type and the range ``test`` its value
+    (or each value of a list) must pass, with ``text`` saying both in words.
+    ``kind`` is int, float, str, list (of ints) or (str, int) for either."""
+    default: object
+    kind: object
+    text: str
+    test: Callable = lambda value: True
+    null: bool = False
+
+    def check(self, name: str, value):
+        """The value as the pipeline uses it: an int or a float as its kind."""
+        if value is None and self.null:
+            return None
+        try:
+            typed = _cast(self.kind, value)
+            if all(map(self.test, typed)) if self.kind is list else self.test(typed):
+                return typed
+        except (TypeError, ValueError, OverflowError):
+            pass
+        text = self.text + (" or null" if self.null else "")
+        raise InputError(f"config key {name!r} must be {text}, got {value!r}")
 
 
-# the type a set value must take where the default is None (worked out later)
-NULL_DEFAULT_TYPES = {"dataset": dict, "train.epochs": int, "train.latent_dim": int,
-                      "svm.gamma": float, "svm.coef0": float, "explain.n_coalitions": int}
-TYPE_NAMES = {int: "an integer", float: "a number", list: "a list of integers",
-              dict: "a JSON object", str: "a string"}
-# explain.output is "mean" or the index of one latent dimension
-STRING_OR_INDEX = ("explain.output",)
-# the file names each dataset kind needs
-DATASET_PATHS = {"secom": ("features", "labels"), "tep": ("path",), "csv": ("path",)}
+def _cast(kind, value):
+    """``value`` as ``kind``, or ValueError; a boolean is not a number."""
+    if isinstance(kind, tuple):
+        kind = str if isinstance(value, str) else int
+    if kind is list and isinstance(value, list):
+        return [_cast(int, v) for v in value]
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if (kind is str and isinstance(value, str) or kind is int and number and int(value) == value
+            or kind is float and number and math.isfinite(value)):
+        return kind(value)
+    raise ValueError
 
 
-def _typed(name: str, default, value):
-    """A config value converted to the type of its key's default. A value
-    that does not convert is an input error that names the key."""
-    kind = NULL_DEFAULT_TYPES.get(name) if default is None else type(default)
-    if kind not in TYPE_NAMES or (value is None and default is None):
-        return value
-    if name in STRING_OR_INDEX and isinstance(value, int):
-        return value
-    try:
-        if kind in (dict, str) and not isinstance(value, kind):
-            raise TypeError
-        return [int(v) for v in value] if kind is list else kind(value)
-    except (TypeError, ValueError, OverflowError):
-        what = TYPE_NAMES[kind] + (" or an integer" if name in STRING_OR_INDEX else "")
-        raise InputError(f"config key {name!r} must be {what}, got {value!r}") from None
+FILE = Rule(None, str, "a file name")    # a dataset field that must be given
+COLUMN = Rule(None, (str, int), "a column name or an integer >= 0",
+              lambda c: isinstance(c, str) or c >= 0, null=True)
+
+# Every config key. train.epochs and train.latent_dim default to 30 and 32
+# on a tep dataset, else to 40 and 64 (build_train_config).
+SETTINGS = {
+    "seed": Rule(42, int, "an integer"),
+    "output_dir": Rule("claire_out", str, "a string"),
+    "preprocess.drop_threshold": Rule(0.30, float, "a number in [0, 1]", lambda x: 0 <= x <= 1),
+    "preprocess.test_fraction": Rule(0.20, float, "a number in (0, 1)", lambda x: 0 < x < 1),
+    "train.mode": Rule("CLAIRE", str, "one of " + ", ".join(MODES), lambda m: m in MODES),
+    "train.epochs": Rule(None, int, "an integer >= 1", lambda n: n >= 1, null=True),
+    "train.batch_size": Rule(64, int, "an integer >= 2", lambda n: n >= 2),
+    "train.learning_rate": Rule(1e-3, float, "a finite number > 0", lambda x: x > 0),
+    "train.latent_dim": Rule(None, int, "an integer >= 1", lambda n: n >= 1, null=True),
+    "train.hidden_widths": Rule([128, 64], list, "a list of integers >= 1", lambda n: n >= 1),
+    "train.latent_weight": Rule(0.1, float, "a finite number >= 0", lambda x: x >= 0),
+    "train.classifier_weight": Rule(1.0, float, "a finite number >= 0", lambda x: x >= 0),
+    "train.entropy_weight": Rule(0.01, float, "a finite number >= 0", lambda x: x >= 0),
+    "train.corruption_std": Rule(0.1, float, "a finite number >= 0", lambda x: x >= 0),
+    "train.dropout_rate": Rule(0.3, float, "a number in [0, 1)", lambda x: 0 <= x < 1),
+    "train.bn_momentum": Rule(0.9, float, "a number in [0, 1]", lambda x: 0 <= x <= 1),
+    "train.bn_epsilon": Rule(1e-5, float, "a finite number > 0", lambda x: x > 0),
+    "svm.kernel": Rule("rbf", str, "one of " + ", ".join(KERNELS), lambda k: k in KERNELS),
+    "svm.gamma": Rule(None, float, "a finite number", null=True),
+    "svm.degree": Rule(3, int, "an integer"),
+    "svm.coef0": Rule(None, float, "a finite number", null=True),
+    "svm.c": Rule(1.0, float, "a finite number > 0", lambda x: x > 0),
+    "svm.tol": Rule(1e-3, float, "a finite number > 0", lambda x: x > 0),
+    "svm.max_passes": Rule(100, int, "an integer >= 1", lambda n: n >= 1),
+    "explain.n_background": Rule(100, int, "an integer >= 1", lambda n: n >= 1),
+    "explain.n_eval": Rule(100, int, "an integer >= 1", lambda n: n >= 1),
+    "explain.n_coalitions": Rule(None, int, "an integer >= 1", lambda n: n >= 1, null=True),
+    "explain.beeswarm_dims": Rule([0, 5, 10, 15], list, "a list of integers >= 0",
+                                  lambda n: n >= 0),
+    "explain.dependence_feature": COLUMN,
+    "explain.dependence_color": COLUMN,
+    "explain.output": Rule("mean", (str, int), '"mean" or an integer >= 0',
+                           lambda o: o == "mean" if isinstance(o, str) else o >= 0),
+}
+# The fields of the dataset key, besides its kind, for each dataset kind.
+DATASET_KINDS = {
+    "secom": {"features": FILE, "labels": FILE},
+    "tep": {"path": FILE, "fault_classes": Rule(None, list, "a list of integers >= 1",
+                                                lambda n: n >= 1, null=True)},
+    "csv": {"path": FILE, "label_column": Rule("label", str, "a string")},
+}
 
 
-def _deep_update(base: dict, extra: dict, path: str = "") -> dict:
-    for key, value in extra.items():
-        name = path + key
-        if isinstance(base.get(key), dict):
-            _deep_update(base[key], _typed(name, base[key], value), name + ".")
-        else:
-            base[key] = _typed(name, base.get(key), value)
-    return base
+def _slot(cfg: dict, name: str) -> tuple[dict, str]:
+    """The dict that holds a dotted config key, and the key's last part."""
+    section, _, key = name.rpartition(".")
+    return (cfg.setdefault(section, {}) if section else cfg), key
 
 
-def load_config(path: str | None) -> dict:
-    cfg = _default_config()
+def checked_dataset(ds) -> dict:
+    """A dataset block, from a config or a model bundle, with its values
+    checked and its keys as given (a field left out stays out)."""
+    if not isinstance(ds, dict):
+        raise InputError(f"config key 'dataset' must be a JSON object, got {ds!r}")
+    kind = ds.get("kind")
+    if not isinstance(kind, str) or kind not in DATASET_KINDS:
+        raise InputError(f"unknown dataset kind {kind!r}; expected secom, tep or csv")
+    fields = DATASET_KINDS[kind]
+    for key, rule in fields.items():
+        if rule is FILE and key not in ds:
+            raise InputError(f"dataset of kind {kind!r} needs the key {key!r}")
+    out = {}
+    for key, value in ds.items():
+        if key != "kind" and key not in fields:
+            raise InputError(f"unknown config key 'dataset.{key}' for dataset kind {kind!r}")
+        out[key] = kind if key == "kind" else fields[key].check(f"dataset.{key}", value)
+    return out
+
+
+def read_config(path: str | None) -> dict:
+    """The JSON object of a config file, not yet checked; {} without a file."""
     if path is None:
-        return cfg
+        return {}
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -116,7 +170,37 @@ def load_config(path: str | None) -> dict:
     if doc.get("format") != CONFIG_FORMAT:
         raise InputError(
             f"config file {path} has format {doc.get('format')!r}, expected {CONFIG_FORMAT!r}")
-    return _deep_update(cfg, doc)
+    return doc
+
+
+def resolve_config(args) -> dict:
+    """The table's defaults, then the config file, then the flags, every
+    value checked once before any other file is read."""
+    cfg = {"format": CONFIG_FORMAT, "dataset": None}
+    for name, rule in SETTINGS.items():
+        box, key = _slot(cfg, name)
+        box[key] = rule.default             # replaced by a checked copy below
+    for key, value in read_config(args.config).items():
+        if key not in cfg:
+            raise InputError(f"unknown config key {key!r}")
+        if not isinstance(cfg[key], dict):
+            cfg[key] = value
+        elif not isinstance(value, dict):
+            raise InputError(f"config key {key!r} must be a JSON object, got {value!r}")
+        else:
+            for sub in value:
+                if sub not in cfg[key]:
+                    raise InputError(f"unknown config key {key + '.' + sub!r}")
+            cfg[key].update(value)
+    if args.dataset is not None:
+        cfg["dataset"] = parse_dataset_spec(args.dataset)
+    for name, rule in SETTINGS.items():
+        box, key = _slot(cfg, name)
+        flag = getattr(args, name, None)        # a flag's dest is the key it sets
+        box[key] = rule.check(name, box[key] if flag is None else flag)
+    if cfg["dataset"] is not None:
+        cfg["dataset"] = checked_dataset(cfg["dataset"])
+    return cfg
 
 
 def parse_dataset_spec(spec: str) -> dict:
@@ -155,76 +239,45 @@ def parse_dataset_spec(spec: str) -> dict:
     raise InputError(f"unknown dataset kind {kind!r}; expected secom, tep or csv")
 
 
-def check_dataset(ds_cfg: dict) -> None:
-    """Every file name the dataset's kind reads is present and a string."""
-    kind = ds_cfg.get("kind")
-    if not isinstance(kind, str) or kind not in DATASET_PATHS:
-        raise InputError(f"unknown dataset kind {kind!r}; expected secom, tep or csv")
-    for key in DATASET_PATHS[kind]:
-        if key not in ds_cfg:
-            raise InputError(f"dataset of kind {kind!r} needs the key {key!r}")
-        if not isinstance(ds_cfg[key], str):
-            raise InputError(f"dataset key {key!r} of kind {kind!r} must be a string, "
-                             f"got {ds_cfg[key]!r}")
-
-
-def load_dataset(cfg: dict) -> TabularDataset:
-    ds_cfg = cfg.get("dataset")
+def load_dataset(ds_cfg: dict | None) -> TabularDataset:
     if not ds_cfg:
         raise InputError("no dataset configured; pass --dataset or set it in the config")
-    check_dataset(ds_cfg)
-    kind = ds_cfg["kind"]
-    if kind == "secom":
-        return data_mod.load_secom(ds_cfg["features"], ds_cfg["labels"])
-    if kind == "tep":
-        return data_mod.load_tep(ds_cfg["path"], ds_cfg.get("fault_classes"))
-    return data_mod.load_labeled_csv(ds_cfg["path"], ds_cfg.get("label_column", "label"))
+    given = checked_dataset(ds_cfg)
+    ds = {key: rule.default for key, rule in DATASET_KINDS[given["kind"]].items()} | given
+    if ds["kind"] == "secom":
+        return data_mod.load_secom(ds["features"], ds["labels"])
+    if ds["kind"] == "tep":
+        return data_mod.load_tep(ds["path"], ds["fault_classes"])
+    return data_mod.load_labeled_csv(ds["path"], ds["label_column"])
 
 
 def build_train_config(cfg: dict) -> TrainConfig:
     t = cfg["train"]
-    kind = (cfg.get("dataset") or {}).get("kind")
-    epochs = t["epochs"] if t["epochs"] is not None else (30 if kind == "tep" else 40)
-    latent_dim = t["latent_dim"] if t["latent_dim"] is not None else (32 if kind == "tep" else 64)
-    if t["mode"] not in MODES:
-        raise InputError(f"config key 'train.mode' must be one of {MODES}, got {t['mode']!r}")
-    rate = t["dropout_rate"]
-    if not 0.0 <= rate < 1.0:
-        raise InputError(f"config key 'train.dropout_rate' must be in [0, 1), got {rate}")
+    tep = (cfg["dataset"] or {}).get("kind") == "tep"
     return TrainConfig(
-        mode=t["mode"], epochs=int(epochs), batch_size=int(t["batch_size"]),
-        learning_rate=float(t["learning_rate"]), latent_dim=int(latent_dim),
-        hidden_widths=[int(w) for w in t["hidden_widths"]],
-        weights=LossWeights(latent_weight=float(t["latent_weight"]),
-                            classifier_weight=float(t["classifier_weight"]),
-                            entropy_weight=float(t["entropy_weight"])),
-        corruption_std=float(t["corruption_std"]), dropout_keep=1.0 - rate,
-        bn_momentum=float(t["bn_momentum"]), bn_epsilon=float(t["bn_epsilon"]),
-        seed=int(cfg["seed"]),
+        mode=t["mode"], epochs=t["epochs"] or (30 if tep else 40), batch_size=t["batch_size"],
+        learning_rate=t["learning_rate"], latent_dim=t["latent_dim"] or (32 if tep else 64),
+        hidden_widths=t["hidden_widths"],
+        weights=LossWeights(latent_weight=t["latent_weight"],
+                            classifier_weight=t["classifier_weight"],
+                            entropy_weight=t["entropy_weight"]),
+        corruption_std=t["corruption_std"], dropout_keep=1.0 - t["dropout_rate"],
+        bn_momentum=t["bn_momentum"], bn_epsilon=t["bn_epsilon"], seed=cfg["seed"],
     )
 
 
 def build_svm_config(cfg: dict) -> SvmConfig:
     s = cfg["svm"]
-    kind = s["kernel"]
-    gamma = s.get("gamma")
-    degree = int(s["degree"])
-    coef0 = s.get("coef0")
-    if kind == "linear":
+    gamma, coef0 = s["gamma"], s["coef0"]
+    if s["kernel"] == "linear":
         kernel = KernelSpec.linear()
-    elif kind == "polynomial":
-        kernel = KernelSpec.polynomial(coef0=1.0 if coef0 is None else float(coef0),
-                                       degree=degree)
-    elif kind == "rbf":
-        kernel = KernelSpec.rbf(gamma=None if gamma is None else float(gamma))
-    elif kind == "sigmoid":
-        kernel = KernelSpec.sigmoid(gamma=None if gamma is None else float(gamma),
-                                    coef0=0.0 if coef0 is None else float(coef0))
+    elif s["kernel"] == "polynomial":
+        kernel = KernelSpec.polynomial(coef0=1.0 if coef0 is None else coef0, degree=s["degree"])
+    elif s["kernel"] == "rbf":
+        kernel = KernelSpec.rbf(gamma=gamma)
     else:
-        raise InputError(f"config key 'svm.kernel' must be linear, polynomial, rbf or "
-                         f"sigmoid, got {kind!r}")
-    return SvmConfig(kernel=kernel, c=float(s["c"]), tol=float(s["tol"]),
-                     max_passes=int(s["max_passes"]))
+        kernel = KernelSpec.sigmoid(gamma=gamma, coef0=0.0 if coef0 is None else coef0)
+    return SvmConfig(kernel=kernel, c=s["c"], tol=s["tol"], max_passes=s["max_passes"])
 
 
 def write_csv(path: str, header: list[str], rows) -> None:
@@ -243,11 +296,10 @@ def write_json(path: str, doc: dict) -> None:
 
 
 def _prepare(cfg: dict):
-    raw = load_dataset(cfg)
     p = cfg["preprocess"]
-    return data_mod.run_pipeline(raw, drop_threshold=float(p["drop_threshold"]),
-                                 test_fraction=float(p["test_fraction"]),
-                                 seed=int(cfg["seed"]))
+    return data_mod.run_pipeline(load_dataset(cfg["dataset"]),
+                                 drop_threshold=p["drop_threshold"],
+                                 test_fraction=p["test_fraction"], seed=cfg["seed"])
 
 
 def _out_dir(cfg: dict) -> str:
@@ -256,7 +308,7 @@ def _out_dir(cfg: dict) -> str:
     return out
 
 
-def cmd_preprocess(cfg: dict) -> int:
+def cmd_preprocess(cfg: dict, args) -> int:
     prepared = _prepare(cfg)
     out = _out_dir(cfg)
     for name, split in (("train", prepared.train), ("test", prepared.test)):
@@ -269,15 +321,14 @@ def cmd_preprocess(cfg: dict) -> int:
     return 0
 
 
-def cmd_train(cfg: dict) -> int:
+def cmd_train(cfg: dict, args) -> int:
     train_cfg = build_train_config(cfg)
     svm_cfg = build_svm_config(cfg)
     prepared = _prepare(cfg)
     model = train_pipeline(prepared, train_cfg, svm_cfg)
     # preprocessing knobs ride along so later commands can replay the split
-    model.preprocess = {"drop_threshold": float(cfg["preprocess"]["drop_threshold"]),
-                        "test_fraction": float(cfg["preprocess"]["test_fraction"])}
-    model.dataset = cfg.get("dataset")
+    model.preprocess = dict(cfg["preprocess"])
+    model.dataset = cfg["dataset"]
     out = _out_dir(cfg)
     write_json(os.path.join(out, "model.json"), bundle_dict(model))
     if model.epoch_logs:
@@ -304,10 +355,7 @@ def _replay(model: TrainedModel, cfg: dict) -> TabularDataset:
     """Every row of the dataset, scaled with the preprocessing state stored
     in the bundle.
     """
-    ds_cfg = cfg.get("dataset") or model.dataset
-    if not ds_cfg:
-        raise InputError("no dataset configured and none recorded in the model bundle")
-    raw = load_dataset({"dataset": ds_cfg})
+    raw = load_dataset(cfg["dataset"] or model.dataset)
     pre = model.preprocess or {}
     if raw.features.shape[1] == len(model.original_names):
         # replay guard: the same missing-data census must drop the same columns
@@ -328,20 +376,21 @@ def _split(model: TrainedModel, rows: TabularDataset) -> tuple[TabularDataset, T
     return stratified_split(rows, test_fraction, substream_seed(model.seed, "split"))
 
 
-def _replay_view(model: TrainedModel, cfg: dict, split: str):
-    """Scaled features and labels for the requested split of the dataset."""
+def _replay_codes(cfg: dict, args) -> tuple[TrainedModel, np.ndarray, np.ndarray]:
+    """The model, and its codes and the labels of the requested split."""
+    model = _load_model(cfg, args)
     rows = _replay(model, cfg)
-    if split != "all":
+    if args.split != "all":
         train, test = _split(model, rows)
-        rows = train if split == "train" else test
-    return rows.features, rows.labels
+        rows = train if args.split == "train" else test
+    return model, model_codes(model, rows.features), rows.labels
 
 
 def _column_index(model: TrainedModel, key: str, column) -> int:
     """Index among the kept columns of a column given by name or index."""
     if not isinstance(column, str):
-        if 0 <= int(column) < len(model.kept_names):
-            return int(column)
+        if column < len(model.kept_names):
+            return column
         raise InputError(f"explain.{key} index {column} is outside the "
                          f"{len(model.kept_names)} kept columns")
     if column in model.kept_names:
@@ -352,10 +401,7 @@ def _column_index(model: TrainedModel, key: str, column) -> int:
 
 
 def cmd_eval(cfg: dict, args) -> int:
-    model = _load_model(cfg, args)
-    features, labels = _replay_view(model, cfg, args.split)
-    codes = model_codes(model, features)
-    from .svm import predict_labels
+    model, codes, labels = _replay_codes(cfg, args)
     preds = predict_labels(model.svm, codes)
     report = compute_metrics(labels, preds)
     out = _out_dir(cfg)
@@ -373,19 +419,10 @@ def cmd_explain(cfg: dict, args) -> int:
         raise InputError("model bundle has no encoder (RawSVM mode); nothing to explain")
     e = cfg["explain"]
     output, k = e["output"], model.network.latent_dim
-    if output != "mean" and not (isinstance(output, int) and 0 <= output < k):
+    if output != "mean" and output >= k:
         raise InputError(f"config key 'explain.output' must be \"mean\" or a latent "
                          f"dimension in [0, {k}), got {output!r}")
-
-    def flag_or_config(key):
-        value = getattr(args, key)
-        return e[key] if value is None else value
-
-    n_bg = int(flag_or_config("n_background"))
-    n_eval = int(flag_or_config("n_eval"))
-    n_coalitions = flag_or_config("n_coalitions")
-    if n_coalitions is not None:
-        n_coalitions = int(n_coalitions)
+    n_bg, n_eval, n_coalitions = e["n_background"], e["n_eval"], e["n_coalitions"]
     explain_budgets(len(model.kept_names), n_bg, n_eval, n_coalitions)
     feat, color = (None if e[key] is None else _column_index(model, key, e[key])
                    for key in ("dependence_feature", "dependence_color"))
@@ -399,7 +436,7 @@ def cmd_explain(cfg: dict, args) -> int:
                            feature_names=model.kept_names,
                            n_background=n_bg, n_eval=n_eval,
                            n_coalitions=n_coalitions,
-                           seed=substream_seed(int(cfg["seed"]), "shap"),
+                           seed=substream_seed(cfg["seed"], "shap"),
                            progress=lambda i: print(f"explain: row {i + 1} of {n_eval}"))
     out = _out_dir(cfg)
     eval_x = test_x[:n_eval]
@@ -430,7 +467,7 @@ def cmd_explain(cfg: dict, args) -> int:
                   zip(classes.contrast_features, classes.contrast.tolist()))))
 
     eval_rows = eval_x.tolist()
-    for dim in (d for d in e["beeswarm_dims"] if 0 <= d < attr.n_outputs):
+    for dim in (d for d in e["beeswarm_dims"] if d < attr.n_outputs):
         write_csv(os.path.join(out, f"beeswarm_dim_{dim}.csv"),
                   ["sample", "feature", "feature_value", "shap_value"],
                   ((i, names[j], fv, sv)
@@ -451,9 +488,7 @@ def cmd_explain(cfg: dict, args) -> int:
 
 
 def cmd_project(cfg: dict, args) -> int:
-    model = _load_model(cfg, args)
-    features, labels = _replay_view(model, cfg, args.split)
-    codes = model_codes(model, features)
+    _, codes, labels = _replay_codes(cfg, args)
     projection = lda_fit(codes, labels)
     export = project_export(projection, codes, labels)
     out = _out_dir(cfg)
@@ -472,82 +507,43 @@ def build_parser() -> argparse.ArgumentParser:
                     "Shapley attributions and separability analysis.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="JSON config file (claire-config/1)")
-        p.add_argument("--seed", type=int, help="root random seed")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--dataset",
-                       help="secom:FEATURES:LABELS | tep:PATH[:faults=1,2] "
-                            "| csv:PATH[:label=NAME]")
-        p.add_argument("--mode", choices=["CLAIRE", "PlainAE", "RawSVM"],
-                       help="training mode")
-
-    p = sub.add_parser("preprocess", help="run the preprocessing pipeline and export splits")
-    common(p)
-
-    p = sub.add_parser("train", help="train phase 1 and 2 and save a model bundle")
-    common(p)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--learning-rate", type=float)
-
-    for name, extra in (("eval", "score a trained model"),
+    # a flag that sets a config key has that key as its dest (resolve_config)
+    for name, extra in (("preprocess", "run the preprocessing pipeline and export splits"),
+                        ("train", "train phase 1 and 2 and save a model bundle"),
+                        ("eval", "score a trained model"),
                         ("explain", "export attribution tables"),
                         ("project", "export the discriminant projection")):
         p = sub.add_parser(name, help=extra)
-        common(p)
-        p.add_argument("--model", help="model bundle path (default: OUT/model.json)")
+        p.add_argument("--config", help="JSON config file (claire-config/1)")
+        p.add_argument("--seed", type=int, help="root random seed")
+        p.add_argument("--out", dest="output_dir", help="output directory")
+        p.add_argument("--dataset",
+                       help="secom:FEATURES:LABELS | tep:PATH[:faults=1,2] "
+                            "| csv:PATH[:label=NAME]")
+        p.add_argument("--mode", dest="train.mode", choices=MODES, help="training mode")
+        if name == "train":
+            p.add_argument("--epochs", dest="train.epochs", type=int)
+            p.add_argument("--learning-rate", dest="train.learning_rate", type=float)
+        if name in ("eval", "explain", "project"):
+            p.add_argument("--model", help="model bundle path (default: OUT/model.json)")
         if name in ("eval", "project"):
             p.add_argument("--split", choices=["train", "test", "all"], default="test")
         if name == "explain":
-            p.add_argument("--n-background", type=int, dest="n_background")
-            p.add_argument("--n-eval", type=int, dest="n_eval")
-            p.add_argument("--n-coalitions", type=int, dest="n_coalitions")
+            for budget in ("n_background", "n_eval", "n_coalitions"):
+                p.add_argument("--" + budget.replace("_", "-"), dest=f"explain.{budget}",
+                               type=int)
     return parser
-
-
-def resolve_config(args) -> dict:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.out is not None:
-        cfg["output_dir"] = args.out
-    if args.dataset is not None:
-        cfg["dataset"] = parse_dataset_spec(args.dataset)
-    if args.mode is not None:
-        cfg["train"]["mode"] = args.mode
-    if getattr(args, "epochs", None) is not None:
-        cfg["train"]["epochs"] = args.epochs
-    if getattr(args, "learning_rate", None) is not None:
-        cfg["train"]["learning_rate"] = args.learning_rate
-    if cfg["dataset"]:
-        check_dataset(cfg["dataset"])
-    return cfg
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-        if args.command == "preprocess":
-            return cmd_preprocess(cfg)
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "eval":
-            return cmd_eval(cfg, args)
-        if args.command == "explain":
-            return cmd_explain(cfg, args)
-        if args.command == "project":
-            return cmd_project(cfg, args)
-        raise InputError(f"unknown command {args.command!r}")
-    except DivergenceError as exc:
+        # looked up by name at call time, so a wrapped cmd_* is the one that runs
+        return globals()[f"cmd_{args.command}"](cfg, args)
+    except (*INPUT_ERRORS, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(exc, NumericError) else 2
     except ClaireError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4

@@ -178,7 +178,7 @@ def _section(path: str, doc: dict, key: str, parse, default=_REQUIRED):
                          f"{type(exc).__name__}: {exc}") from exc
 
 
-def _typed(*kinds):
+def _one_of(*kinds):
     """A parse that passes a value of one of ``kinds`` and refuses the rest."""
     def check(value):
         if not isinstance(value, kinds):
@@ -218,10 +218,10 @@ def load_bundle(path: str) -> TrainedModel:
         raise InputError(
             f"model bundle {path} has format {doc.get('format')!r}, expected {MODEL_FORMAT!r}")
     section = lambda key, parse, default=_REQUIRED: _section(path, doc, key, parse, default)
-    optional_dict = _typed(dict, type(None))
+    optional_dict = _one_of(dict, type(None))
     return TrainedModel(
         **section("preprocessing", _preprocessing_from),
-        mode=section("mode", _typed(str)), seed=section("seed", _typed(int)),
+        mode=section("mode", _one_of(str)), seed=section("seed", _one_of(int)),
         network=section("network",
                         lambda net: _network_from(net) if net is not None else None),
         svm=section("svm", _svm_from),

@@ -22,6 +22,7 @@ from .numerics import as_matrix, column_mean_var
 
 SV_THRESHOLD = 1e-10
 TAU = 1e-12    # curvature floor for a pair the kernel cannot tell apart
+KERNELS = ("linear", "polynomial", "rbf", "sigmoid")
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,7 @@ class KernelSpec:
     coef0: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("linear", "polynomial", "rbf", "sigmoid"):
+        if self.kind not in KERNELS:
             raise InputError(f"unknown kernel kind {self.kind!r}")
         if self.kind == "polynomial" and self.degree < 1:
             raise InputError(f"polynomial degree must be >= 1, got {self.degree}")

@@ -585,3 +585,257 @@ def test_explain_plan_line_counts_the_sampled_coalitions(wide_trained, monkeypat
     assert ("explain: 2 rows x 100 coalitions x 20 background rows = 4000 coalition rows"
             in capsys.readouterr().out.splitlines())
     assert rows == [100, 100]
+
+
+# One value per config key that the table refuses: out of range or of the wrong type.
+# Dataset fields are keyed "dataset.FIELD" and tried on a dataset of their kind.
+REFUSED = {
+    "seed": 1.5,
+    "output_dir": ["out"],
+    "preprocess.drop_threshold": 1.5,
+    "preprocess.test_fraction": 1.0,
+    "train.mode": "Nope",
+    "train.epochs": 0,
+    "train.batch_size": 1,
+    "train.learning_rate": -1,
+    "train.latent_dim": 0,
+    "train.hidden_widths": [8, 0],
+    "train.latent_weight": -0.1,
+    "train.classifier_weight": "1",
+    "train.entropy_weight": True,
+    "train.corruption_std": -0.1,
+    "train.dropout_rate": 1.0,
+    "train.bn_momentum": 2.0,
+    "train.bn_epsilon": 0,
+    "svm.kernel": "quadratic",
+    "svm.gamma": "auto",
+    "svm.degree": 2.5,
+    "svm.coef0": [0],
+    "svm.c": 0,
+    "svm.tol": 0,
+    "svm.max_passes": -1,
+    "explain.n_background": 0,
+    "explain.n_eval": "all",
+    "explain.n_coalitions": 0,
+    "explain.beeswarm_dims": [-1],
+    "explain.dependence_feature": -1,
+    "explain.dependence_color": 1.5,
+    "explain.output": "max",
+    ("secom", "features"): 3,
+    ("secom", "labels"): None,
+    ("tep", "path"): ["x.csv"],
+    ("tep", "fault_classes"): [0],
+    ("csv", "path"): {},
+    ("csv", "label_column"): 0,
+}
+DATASETS = {"secom": {"kind": "secom", "features": "x.data", "labels": "y.data"},
+            "tep": {"kind": "tep", "path": "x.csv"},
+            "csv": {"kind": "csv", "path": "x.csv"}}
+
+
+def _config_doc(settings: dict, dataset=DATASETS["csv"]) -> dict:
+    """A claire-config/1 document setting dotted keys to the given values."""
+    doc = {"format": "claire-config/1", "dataset": dataset}
+    for name, value in settings.items():
+        section, _, key = name.rpartition(".")
+        (doc.setdefault(section, {}) if section else doc)[key] = value
+    return doc
+
+
+def _train_with(tmp_path, doc, *flags):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"output_dir": str(tmp_path / "out"), **doc}))
+    return main(["train", "--config", str(config), *flags])
+
+
+def test_every_config_key_has_a_refused_value():
+    from claire.cli import DATASET_KINDS, SETTINGS
+    dataset_fields = {(kind, key) for kind, fields in DATASET_KINDS.items() for key in fields}
+    assert set(REFUSED) == set(SETTINGS) | dataset_fields
+
+
+@pytest.mark.parametrize("key", list(REFUSED), ids=str)
+def test_refused_value_exits_two_naming_its_key(tmp_path, no_loader, capsys, key):
+    if isinstance(key, tuple):
+        kind, field = key
+        doc = _config_doc({}, {**DATASETS[kind], field: REFUSED[key]})
+        name = f"dataset.{field}"
+    else:
+        doc, name = _config_doc({key: REFUSED[key]}), key
+    rc = _train_with(tmp_path, doc)
+    _assert_one_line_input_error(rc, capsys.readouterr().err, repr(name))
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag,value,key", [("--epochs", "0", "'train.epochs'"),
+                                            ("--learning-rate", "-1", "'train.learning_rate'"),
+                                            ("--learning-rate", "nan", "'train.learning_rate'")])
+def test_flag_value_is_checked_by_the_table(tmp_path, no_loader, capsys, flag, value, key):
+    rc = _train_with(tmp_path, _config_doc({}), flag, value)
+    _assert_one_line_input_error(rc, capsys.readouterr().err, key)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("train.epochs", 1.7), ("train.epochs", True),
+    ("train.hidden_widths", [1.5]), ("train.hidden_widths", [True]),
+    ("explain.beeswarm_dims", [0.5]), ("explain.beeswarm_dims", [False]),
+    ("dataset.fault_classes", [1.5]), ("dataset.fault_classes", [True]),
+    ("dataset.fault_classes", "1,2"), ("dataset.fault_classes", 1),
+])
+def test_integer_key_refuses_other_values(tmp_path, no_loader, capsys, key, value):
+    if key.startswith("dataset."):
+        doc = _config_doc({}, {**DATASETS["tep"], "fault_classes": value})
+    else:
+        doc = _config_doc({key: value})
+    rc = _train_with(tmp_path, doc)
+    _assert_one_line_input_error(rc, capsys.readouterr().err, repr(key), repr(value))
+
+
+def test_integral_float_is_taken_as_an_integer(tmp_path, monkeypatch):
+    seen = []
+
+    def stop(prepared, train_cfg, svm_cfg):
+        seen.append(train_cfg)
+        raise InputError("stopped before training")
+
+    monkeypatch.setattr("claire.cli.train_pipeline", stop)
+    data = _write_dataset(str(tmp_path / "line.csv"))
+    doc = _config_doc({"train.epochs": 2.0, "train.hidden_widths": [8.0]},
+                      {"kind": "csv", "path": data})
+    assert _train_with(tmp_path, doc) == 2
+    assert type(seen[0].epochs) is int and seen[0].epochs == 2
+    assert [type(w) for w in seen[0].hidden_widths] == [int] and seen[0].hidden_widths == [8]
+
+
+@pytest.mark.parametrize("doc,key", [
+    ({"bogus": 1}, "'bogus'"),
+    ({"preprocess": {"drop_treshold": 0.5}}, "'preprocess.drop_treshold'"),
+    ({"train": {"learning_rat": 0.1}}, "'train.learning_rat'"),
+    ({"svm": {"kernal": "rbf"}}, "'svm.kernal'"),
+    ({"explain": {"n_evals": 5}}, "'explain.n_evals'"),
+    ({"dataset": {**DATASETS["secom"], "path": "x.csv"}}, "'dataset.path'"),
+    ({"dataset": {**DATASETS["tep"], "label_column": "y"}}, "'dataset.label_column'"),
+    ({"dataset": {**DATASETS["csv"], "fault_classes": [1]}}, "'dataset.fault_classes'"),
+])
+def test_unknown_config_key_exits_two_naming_it(tmp_path, no_loader, capsys, doc, key):
+    rc = _train_with(tmp_path, {"format": "claire-config/1", "dataset": DATASETS["csv"], **doc})
+    _assert_one_line_input_error(rc, capsys.readouterr().err, key)
+
+
+@pytest.mark.parametrize("fault_classes", ["1,2", 1])
+def test_bundle_fault_classes_not_a_list_is_input_error(trained, tmp_path, no_loader, capsys,
+                                                        fault_classes):
+    doc = json.load(open(os.path.join(trained, "model.json")))
+    doc["dataset"] = {"kind": "tep", "path": "x.csv", "fault_classes": fault_classes}
+    bundle = tmp_path / "model.json"
+    bundle.write_text(json.dumps(doc))
+    rc = main(["eval", "--model", str(bundle), "--out", str(tmp_path / "out")])
+    _assert_one_line_input_error(rc, capsys.readouterr().err, "'dataset.fault_classes'",
+                                 repr(fault_classes))
+
+
+def test_readme_lists_every_config_key_with_its_default_and_range():
+    from claire.cli import DATASET_KINDS, SETTINGS
+    readme = open(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                               "README.md"), encoding="utf-8").read()
+    rows = {line.split("|")[1].strip(): line for line in readme.splitlines()
+            if line.startswith("| `")}
+    for name, rule in SETTINGS.items():
+        row = rows.get(f"`{name}`", "")
+        assert f"| `{json.dumps(rule.default)}` |" in row, name
+        assert f"| {rule.text}{' or null' if rule.null else ''} |" in row, name
+    for kind, fields in DATASET_KINDS.items():
+        for field, rule in fields.items():
+            row = rows.get(f"`dataset.{field}`", "")
+            assert kind in row and f"| {rule.text}{' or null' if rule.null else ''} |" in row
+    for flag in ("--config", "--dataset", "--seed", "--out", "--mode", "--epochs",
+                 "--learning-rate", "--model", "--split", "--n-background", "--n-eval",
+                 "--n-coalitions"):
+        assert any(key.startswith(f"`{flag} ") for key in rows), flag
+
+
+class LoaderReached(Exception):
+    pass
+
+
+def _json_values():
+    from hypothesis import strategies as st
+    scalars = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+               | st.sampled_from(["mean", "rbf", "CLAIRE", "x.csv", "label"]))
+    return st.recursive(scalars, lambda inner: st.lists(inner, max_size=3)
+                        | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+                        max_leaves=6)
+
+
+def _config_docs():
+    """Config documents over the table's keys and unknown ones, with
+    defaults, near-defaults and values of any JSON type."""
+    from hypothesis import strategies as st
+    from claire.cli import DATASET_KINDS, SETTINGS
+    values = _json_values()
+    good = st.sampled_from([rule.default for rule in SETTINGS.values()] + [0, 1, 2, 0.5])
+    keys = st.sampled_from([*SETTINGS, "bogus", "train.bogus", "explain.outputs"])
+    fields = st.sampled_from(["kind", "bogus", *{f for fs in DATASET_KINDS.values() for f in fs}])
+    dataset = (st.sampled_from(list(DATASETS.values()))
+               | st.builds(lambda base, extra: {**base, **extra},
+                           st.sampled_from(list(DATASETS.values())),
+                           st.dictionaries(fields, values | good, max_size=2))
+               | values)
+    sections = st.dictionaries(st.sampled_from(["train", "svm", "explain", "preprocess"]),
+                               values, max_size=1)
+    return st.builds(lambda settings, data, broken: {**_config_doc(settings, data), **broken},
+                     st.dictionaries(keys, good | values, max_size=4), dataset,
+                     st.just({}) | sections)
+
+
+def _exits_two_in_one_line_or_reaches_the_loader(argv):
+    import contextlib
+    import io
+
+    def reached(*args, **kwargs):
+        raise LoaderReached
+
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        for loader in ("load_secom", "load_tep", "load_labeled_csv"):
+            mp.setattr(f"claire.data.{loader}", reached)
+        rc = main(argv)
+    if "LoaderReached" not in err.getvalue():
+        _assert_one_line_input_error(rc, err.getvalue())
+
+
+@pytest.mark.parametrize("command", ["train", "explain"])
+def test_any_config_exits_two_in_one_line_or_reaches_the_loader(trained, tmp_path, command):
+    """Every config document either exits 2 with one stderr line and no
+    traceback, or passes every check and reaches a dataset loader."""
+    from hypothesis import given, settings
+
+    @settings(max_examples=120, deadline=None)
+    @given(doc=_config_docs())
+    def check(doc):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        model = ["--model", os.path.join(trained, "model.json")] if command == "explain" else []
+        _exits_two_in_one_line_or_reaches_the_loader([command, "--config", str(config), *model])
+
+    check()
+
+
+def test_any_dataset_spec_exits_two_in_one_line_or_reaches_the_loader(tmp_path):
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    options = st.builds(str.__add__, st.sampled_from(["faults=", "label="]),
+                        st.text(max_size=4) | st.sampled_from(["1,2", "0", "x", "1,x"]))
+    specs = st.builds(lambda kind, rest: ":".join([kind, *rest]),
+                      st.sampled_from(["secom", "tep", "csv", "parquet", ""]),
+                      st.lists(st.text(max_size=6) | options, max_size=3))
+
+    @settings(max_examples=200, deadline=None)
+    @given(spec=specs)
+    def check(spec):
+        _exits_two_in_one_line_or_reaches_the_loader(
+            ["train", f"--dataset={spec}", "--out", str(tmp_path / "out")])
+
+    check()
