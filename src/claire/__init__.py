@@ -17,7 +17,7 @@ from .evaluate import LdaProjection, MetricsReport, compute_metrics, lda_fit, pr
 from .explain import (AttributionTensor, class_conditional_importance, dependence_export,
                       explain_encoder, global_importance, kernel_shap)
 from .model_io import load_bundle, save_bundle
-from .network import LossWeights, NetworkParams, build_network, classify, encode, reconstruct
+from .network import LossWeights, NetworkParams, build_network, encode
 from .numerics import RngStream, substream_seed
 from .svm import KernelSpec, SvmModel, decision_function, predict_labels, smo_train
 from .training import (EpochLog, SvmConfig, TrainConfig, TrainedModel, extract_latent,
@@ -32,11 +32,11 @@ __all__ = [
     "PreparedData", "PreprocessReport", "RngStream", "ScalerState", "ShapeError",
     "StateError", "SvmConfig", "SvmModel", "TabularDataset", "TrainConfig",
     "TrainedModel", "apply_saved_preprocessing", "build_network",
-    "class_conditional_importance", "classify", "compute_metrics", "decision_function",
+    "class_conditional_importance", "compute_metrics", "decision_function",
     "dependence_export", "encode", "explain_encoder", "extract_latent", "fit_scaler",
     "global_importance", "handle_missing", "kernel_shap", "lda_fit", "load_bundle",
     "load_labeled_csv", "load_secom", "load_tep", "model_codes", "oversample_minority",
-    "predict", "predict_labels", "project_export", "reconstruct", "run_pipeline",
+    "predict", "predict_labels", "project_export", "run_pipeline",
     "save_bundle", "smo_train", "stratified_split", "substream_seed", "train_phase1",
     "train_phase2", "train_pipeline",
 ]

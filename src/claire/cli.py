@@ -27,7 +27,7 @@ from .data import TabularDataset, stratified_split
 from .errors import (ClaireError, ConditioningError, DegenerateDataError, InputError,
                      NumericError, ShapeError, StateError)
 from .evaluate import compute_metrics, lda_fit, project_export
-from .explain import (class_conditional_importance, dependence_export, explain_budgets,
+from .explain import (class_conditional_importance, coalition_count, dependence_export,
                       explain_encoder, explain_plan, global_importance)
 from .model_io import bundle_dict, load_bundle
 from .network import LossWeights
@@ -348,7 +348,19 @@ def cmd_train(cfg: dict, args) -> int:
 
 
 def _load_model(cfg: dict, args) -> TrainedModel:
-    return load_bundle(args.model or os.path.join(cfg["output_dir"], "model.json"))
+    """The model bundle, its preprocess block checked by the SETTINGS rules
+    and completed with their defaults before any dataset is read."""
+    model = load_bundle(args.model or os.path.join(cfg["output_dir"], "model.json"))
+    given = dict(model.preprocess or {})
+    model.preprocess = {}
+    for name, rule in SETTINGS.items():
+        section, _, key = name.rpartition(".")
+        if section == "preprocess":
+            model.preprocess[key] = rule.check(name, given.pop(key, rule.default))
+    if given:
+        raise InputError(f"unknown config key 'preprocess.{next(iter(given))}' "
+                         f"in the model bundle")
+    return model
 
 
 def _replay(model: TrainedModel, cfg: dict) -> TabularDataset:
@@ -356,10 +368,9 @@ def _replay(model: TrainedModel, cfg: dict) -> TabularDataset:
     in the bundle.
     """
     raw = load_dataset(cfg["dataset"] or model.dataset)
-    pre = model.preprocess or {}
     if raw.features.shape[1] == len(model.original_names):
         # replay guard: the same missing-data census must drop the same columns
-        _, drop = data_mod.missing_census(raw.features, float(pre.get("drop_threshold", 0.30)))
+        _, drop = data_mod.missing_census(raw.features, model.preprocess["drop_threshold"])
         if [raw.feature_names[j] for j in np.flatnonzero(~drop)] != model.kept_names:
             raise ClaireError(
                 "replayed preprocessing kept a different column set than the model "
@@ -372,8 +383,8 @@ def _replay(model: TrainedModel, cfg: dict) -> TabularDataset:
 
 def _split(model: TrainedModel, rows: TabularDataset) -> tuple[TabularDataset, TabularDataset]:
     """The train and test splits of replayed rows, as the model saw them."""
-    test_fraction = float((model.preprocess or {}).get("test_fraction", 0.2))
-    return stratified_split(rows, test_fraction, substream_seed(model.seed, "split"))
+    return stratified_split(rows, model.preprocess["test_fraction"],
+                            substream_seed(model.seed, "split"))
 
 
 def _replay_codes(cfg: dict, args) -> tuple[TrainedModel, np.ndarray, np.ndarray]:
@@ -423,7 +434,7 @@ def cmd_explain(cfg: dict, args) -> int:
         raise InputError(f"config key 'explain.output' must be \"mean\" or a latent "
                          f"dimension in [0, {k}), got {output!r}")
     n_bg, n_eval, n_coalitions = e["n_background"], e["n_eval"], e["n_coalitions"]
-    explain_budgets(len(model.kept_names), n_bg, n_eval, n_coalitions)
+    coalition_count(len(model.kept_names), n_coalitions)     # refuses fewer than d + 2
     feat, color = (None if e[key] is None else _column_index(model, key, e[key])
                    for key in ("dependence_feature", "dependence_color"))
     train, test = _split(model, _replay(model, cfg))

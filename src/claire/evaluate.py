@@ -17,6 +17,8 @@ import numpy as np
 from .errors import ConditioningError, DegenerateDataError, InputError, ShapeError
 from .numerics import as_matrix
 
+LDA_RIDGE = 1e-8    # added to the diagonal of the within-class scatter
+
 
 @dataclass(frozen=True)
 class MetricsReport:
@@ -95,7 +97,7 @@ class LdaProjection:
                 "threshold": self.threshold, "dprime": self.dprime}
 
 
-def lda_fit(z: np.ndarray, labels: np.ndarray, ridge: float = 1e-8) -> LdaProjection:
+def lda_fit(z: np.ndarray, labels: np.ndarray) -> LdaProjection:
     """Fisher discriminant: direction proportional to S_W^-1 (mu1 - mu0),
     where S_W is the pooled within-class scatter with a ridge for
     invertibility. The direction is normalized to unit length.
@@ -119,7 +121,7 @@ def lda_fit(z: np.ndarray, labels: np.ndarray, ridge: float = 1e-8) -> LdaProjec
     mu1 = z1.mean(axis=0)
     c0 = z0 - mu0
     c1 = z1 - mu1
-    scatter = c0.T @ c0 + c1.T @ c1 + ridge * np.eye(z.shape[1])
+    scatter = c0.T @ c0 + c1.T @ c1 + LDA_RIDGE * np.eye(z.shape[1])
     try:
         w = np.linalg.solve(scatter, mu1 - mu0)
     except np.linalg.LinAlgError as exc:

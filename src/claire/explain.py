@@ -442,28 +442,17 @@ def kernel_shap(f, x_eval: np.ndarray, background: np.ndarray,
         x_eval, base_out.mean(axis=0), fx_all, n_coalitions, seed)
 
 
-def explain_budgets(d: int, n_background: int, n_eval: int, n_coalitions: int | None) -> int:
-    """Check the budgets of ``explain_encoder`` that need no data rows;
-    returns the coalitions it evaluates per explained row."""
-    if n_background < 1:
-        raise InputError(f"n_background must be at least 1, got {n_background}")
-    if n_eval < 1:
-        raise InputError(f"n_eval must be at least 1, got {n_eval}")
-    if n_coalitions is not None and n_coalitions < 1:
-        raise InputError(f"n_coalitions must be at least 1, got {n_coalitions}")
-    return coalition_count(d, n_coalitions)
-
-
 def explain_plan(n_train: int, n_test: int, d: int, n_background: int, n_eval: int,
                  n_coalitions: int | None) -> int:
     """Check the budgets of ``explain_encoder`` against the rows it gets;
     returns the coalitions it evaluates per explained row."""
-    per_row = explain_budgets(d, n_background, n_eval, n_coalitions)
-    if n_background > n_train:
+    if not 1 <= n_background <= n_train:
         raise InputError(f"n_background must be in [1, {n_train}], got {n_background}")
-    if n_eval > n_test:
+    if not 1 <= n_eval <= n_test:
         raise InputError(f"n_eval must be in [1, {n_test}], got {n_eval}")
-    return per_row
+    if n_coalitions is not None and n_coalitions < 1:
+        raise InputError(f"n_coalitions must be at least 1, got {n_coalitions}")
+    return coalition_count(d, n_coalitions)
 
 
 def explain_encoder(params, train_features: np.ndarray, test_features: np.ndarray,
@@ -536,7 +525,6 @@ class ClassImportance:
     success: ImportanceRanking
     contrast_features: list[str]
     contrast: np.ndarray           # failure score - success score, sorted desc
-    contrast_order: np.ndarray
 
 
 def class_conditional_importance(attr: AttributionTensor,
@@ -565,8 +553,7 @@ def class_conditional_importance(attr: AttributionTensor,
     return ClassImportance(failure=_rank(fail_scores, names),
                            success=_rank(succ_scores, names),
                            contrast_features=[names[j] for j in order],
-                           contrast=diff[order],
-                           contrast_order=order)
+                           contrast=diff[order])
 
 
 def dependence_export(attr: AttributionTensor, x_eval: np.ndarray,

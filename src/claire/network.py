@@ -18,6 +18,8 @@ weight, bias, gamma and beta, each layer keeping a view of its part:
     v <- beta2 * v + (1 - beta2) * g^2
     theta <- theta - lr * m / (sqrt(v) + eps)
 
+with the usual beta1 = 0.9, beta2 = 0.999 and eps = 1e-8 as constants.
+
 ``adam_step`` applies it in blocks of ``ADAM_BLOCK`` elements through two
 scratch buffers that ``AdamState`` owns, so each block of the four vectors
 stays in cache across the five updates and no vector-sized temporary is
@@ -319,16 +321,6 @@ def fold_encoder(params: NetworkParams) -> tuple[list[FoldedLayer], float]:
     return layers, scale
 
 
-def reconstruct(params: NetworkParams, x: np.ndarray) -> np.ndarray:
-    x_hat, _ = _stack_forward(params.decoder, encode(params, x), False, None)
-    return x_hat
-
-
-def classify(params: NetworkParams, x: np.ndarray) -> np.ndarray:
-    y_hat, _ = dense_forward(params.classifier, encode(params, x), False)
-    return y_hat[:, 0]
-
-
 @dataclass
 class ForwardPass:
     """Training-mode forward results plus the caches backward needs."""
@@ -501,14 +493,9 @@ def _parameter_slots(params: NetworkParams):
             yield f"{prefix}.beta", layer.batch_norm, "beta"
 
 
-def named_parameters(params: NetworkParams) -> list[tuple[str, np.ndarray]]:
-    """Stable (name, array) listing of every trainable parameter."""
-    return [(name, getattr(owner, attr)) for name, owner, attr in _parameter_slots(params)]
-
-
 def parameter_vector(params: NetworkParams) -> np.ndarray:
     """Move every trainable array into one contiguous float64 vector, in
-    ``named_parameters`` order, and leave each layer holding a view of its
+    ``_parameter_slots`` order, and leave each layer holding a view of its
     part: an in-place update of the vector is an update of the network.
     """
     slots = list(_parameter_slots(params))
@@ -526,16 +513,17 @@ def parameter_vector(params: NetworkParams) -> np.ndarray:
 # scratch buffers (768 KiB) stays in a 1-2 MiB L2 cache between passes.
 ADAM_BLOCK = 16384
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
 
 @dataclass
 class AdamState:
-    """Plain Adam moments over the parameter vector, and two block-sized
-    scratch buffers, all allocated on the first step. No bias correction."""
+    """Plain Adam at one learning rate: the moments over the parameter
+    vector and two block-sized scratch buffers, all allocated on the first
+    step. No bias correction."""
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    step: int = 0
     first_moment: np.ndarray | None = None
     second_moment: np.ndarray | None = None
     scratch: tuple[np.ndarray, np.ndarray] | None = None
@@ -556,7 +544,7 @@ def adam_step(state: AdamState, theta: np.ndarray, grad: np.ndarray) -> None:
         state.first_moment, state.second_moment = np.zeros_like(theta), np.zeros_like(theta)
         width = min(ADAM_BLOCK, theta.size)
         state.scratch = (np.empty(width), np.empty(width))
-    b1, b2, lr, eps = state.beta1, state.beta2, state.learning_rate, state.epsilon
+    b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, state.learning_rate, ADAM_EPSILON
     for lo in range(0, theta.size, ADAM_BLOCK):
         block = slice(lo, lo + ADAM_BLOCK)
         t, g = theta[block], grad[block]
@@ -574,4 +562,3 @@ def adam_step(state: AdamState, theta: np.ndarray, grad: np.ndarray) -> None:
         b += eps
         a /= b
         t -= a
-    state.step += 1

@@ -13,6 +13,8 @@ import numpy as np
 
 from .errors import ConditioningError, DegenerateDataError, ShapeError
 
+RIDGE = 1e-10    # added to the diagonal of the weighted normal equations
+
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a 2-D float64 array, rejecting anything that is not one."""
@@ -39,22 +41,21 @@ def column_mean_var(m) -> tuple[np.ndarray, np.ndarray]:
     return mean, var
 
 
-def weighted_normal_matrix(design: np.ndarray, weights: np.ndarray,
-                           ridge: float = 1e-10) -> np.ndarray:
-    """design^T diag(weights) design + ridge * I: the left-hand side of the
+def weighted_normal_matrix(design: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """design^T diag(weights) design + RIDGE * I: the left-hand side of the
     weighted normal equations, which depends on the design alone."""
-    return design.T @ (design * weights[:, None]) + ridge * np.eye(design.shape[1])
+    return design.T @ (design * weights[:, None]) + RIDGE * np.eye(design.shape[1])
 
 
-def solve_weighted_least_squares(design, targets, weights, ridge: float = 1e-10,
+def solve_weighted_least_squares(design, targets, weights,
                                  lhs: np.ndarray | None = None) -> np.ndarray:
     """Solve min_beta sum_i w_i * ||design_i . beta - targets_i||^2.
 
     Solved through the normal equations with a small ridge term
-    (ridge * I) added for numerical rescue. ``targets`` may have several
+    (RIDGE * I) added for numerical rescue. ``targets`` may have several
     columns; one coefficient column is returned per target column.
     Several solves on one design and one set of weights can pass
-    ``lhs = weighted_normal_matrix(design, weights, ridge)`` to form it once.
+    ``lhs = weighted_normal_matrix(design, weights)`` to form it once.
     """
     design = as_matrix(design, "design")
     targets = np.asarray(targets, dtype=np.float64)
@@ -70,7 +71,7 @@ def solve_weighted_least_squares(design, targets, weights, ridge: float = 1e-10,
     if np.any(weights < 0):
         raise ShapeError("weights must be non-negative")
     if lhs is None:
-        lhs = weighted_normal_matrix(design, weights, ridge)
+        lhs = weighted_normal_matrix(design, weights)
     rhs = design.T @ (targets * weights[:, None])
     try:
         beta = np.linalg.solve(lhs, rhs)
@@ -97,8 +98,8 @@ class RngStream:
         self.seed = int(seed) % 2**63
         self._gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(self.seed)))
 
-    def normal(self, shape, std: float = 1.0, mean: float = 0.0) -> np.ndarray:
-        return self._gen.normal(loc=mean, scale=std, size=shape)
+    def normal(self, shape, std: float = 1.0) -> np.ndarray:
+        return self._gen.normal(scale=std, size=shape)
 
     def uniform(self, shape=None, low: float = 0.0, high: float = 1.0):
         return self._gen.uniform(low, high, size=shape)

@@ -17,7 +17,7 @@ aborts with a divergence error naming the epoch, batch and term.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 

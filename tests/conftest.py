@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from claire.data import TabularDataset
+from claire.network import _parameter_slots
 
 
 @pytest.fixture
@@ -24,3 +25,9 @@ def make_dataset(features, labels, names=None):
     if names is None:
         names = [f"c{j}" for j in range(features.shape[1])]
     return TabularDataset(features, np.asarray(labels, dtype=np.int64), names)
+
+
+def named_parameters(params):
+    """(name, array) of every trainable parameter, in the order of the
+    network's parameter vector and of its gradient."""
+    return [(name, getattr(owner, attr)) for name, owner, attr in _parameter_slots(params)]

@@ -734,6 +734,42 @@ def test_bundle_fault_classes_not_a_list_is_input_error(trained, tmp_path, no_lo
                                  repr(fault_classes))
 
 
+def _with_preprocess(trained, tmp_path, preprocess):
+    doc = json.load(open(os.path.join(trained, "model.json")))
+    doc["preprocess"] = preprocess
+    bundle = tmp_path / "model.json"
+    bundle.write_text(json.dumps(doc))
+    return str(bundle)
+
+
+@pytest.mark.parametrize("command", ["eval", "explain", "project"])
+@pytest.mark.parametrize("preprocess,key", [
+    ({"drop_threshold": 0.3, "test_fraction": "x"}, "'preprocess.test_fraction'"),
+    ({"drop_threshold": True, "test_fraction": 0.2}, "'preprocess.drop_threshold'"),
+    ({"drop_threshold": 0.3, "test_fraction": 1.5}, "'preprocess.test_fraction'"),
+    ({"drop_threshold": 0.3, "test_fraction": 0.2, "bogus": 1}, "'preprocess.bogus'"),
+])
+def test_bad_bundle_preprocess_block_fails_before_the_dataset_is_read(
+        workspace, trained, tmp_path, no_loader, capsys, command, preprocess, key):
+    bundle = _with_preprocess(trained, tmp_path, preprocess)
+    rc = main([command, "--dataset", workspace["data"], "--model", bundle,
+               "--out", str(tmp_path / "out")])
+    _assert_one_line_input_error(rc, capsys.readouterr().err, key)
+    assert not (tmp_path / "out").exists()
+
+
+def test_null_bundle_preprocess_block_takes_the_defaults(workspace, trained, tmp_path):
+    # the workspace config leaves preprocess at its defaults
+    metrics = []
+    for name, bundle in (("recorded", os.path.join(trained, "model.json")),
+                         ("null", _with_preprocess(trained, tmp_path, None))):
+        out = tmp_path / name
+        assert main(["eval", "--dataset", workspace["data"], "--model", bundle,
+                     "--out", str(out)]) == 0
+        metrics.append((out / "metrics.json").read_bytes())
+    assert metrics[0] == metrics[1]
+
+
 def test_readme_lists_every_config_key_with_its_default_and_range():
     from claire.cli import DATASET_KINDS, SETTINGS
     readme = open(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),

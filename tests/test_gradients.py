@@ -11,9 +11,9 @@ import pytest
 from claire.errors import StateError
 from claire.network import (Activation, DenseLayer, LossWeights, backward,
                             batch_losses, build_network, corrupt, dense_backward,
-                            dense_forward, named_parameters, total_loss,
-                            training_forward)
+                            dense_forward, total_loss, training_forward)
 from claire.numerics import RngStream, substream_seed
+from conftest import named_parameters
 
 REL_TOL = 1e-4
 FD_STEP = 1e-5

@@ -5,9 +5,9 @@ import pytest
 from claire.data import run_pipeline, TabularDataset
 from claire.errors import InputError
 from claire.model_io import MODEL_FORMAT, bundle_dict, load_bundle, save_bundle
-from claire.network import named_parameters
 from claire.svm import KernelSpec
 from claire.training import SvmConfig, TrainConfig, predict, train_pipeline
+from conftest import named_parameters
 
 
 def _small_model(mode="CLAIRE", seed=17):
@@ -83,3 +83,19 @@ def test_format_and_parse_errors(tmp_path):
 
 def test_bundle_format_tag():
     assert bundle_dict(_small_model())["format"] == MODEL_FORMAT == "claire-model/1"
+
+
+@pytest.mark.parametrize("mode", ["CLAIRE", "RawSVM"])
+def test_package_predict_on_a_reloaded_bundle(tmp_path, mode):
+    import claire
+    path = str(tmp_path / "model.json")
+    claire.save_bundle(path, _small_model(mode))
+    loaded = claire.load_bundle(path)
+    raw = np.random.default_rng(3).uniform(0.0, 1.0, (40, 4))
+    raw[::5, 1] = np.nan
+    scaled = claire.apply_saved_preprocessing(raw, loaded.original_names, loaded.kept_names,
+                                              loaded.medians, loaded.scaler)
+    got = claire.predict(loaded, raw)
+    assert np.array_equal(got, claire.predict_labels(loaded.svm,
+                                                     claire.model_codes(loaded, scaled)))
+    assert set(got.tolist()) == {0, 1}

@@ -9,13 +9,13 @@ from claire.errors import DegenerateDataError, NumericError, ShapeError
 from claire.network import (ADAM_BLOCK, LEAKY, Activation, AdamState, BatchNormState,
                             DenseLayer, DropoutState, LossComponents, LossWeights,
                             adam_step, backward, batch_losses, batchnorm_backward,
-                            batchnorm_forward, build_network, classify, corrupt,
-                            dense_forward, encode, fold_encoder,
-                            loss_classification, loss_entropy, loss_latent_variance,
-                            loss_reconstruction, named_parameters, parameter_vector,
-                            reconstruct, sigmoid, total_loss, training_forward)
+                            batchnorm_forward, build_network, corrupt, dense_forward,
+                            encode, fold_encoder, loss_classification, loss_entropy,
+                            loss_latent_variance, loss_reconstruction, parameter_vector,
+                            sigmoid, total_loss, training_forward)
 from claire.numerics import RngStream, substream_seed
 from claire.training import TrainConfig, train_phase1
+from conftest import named_parameters
 
 
 def test_activations_hand_values():
@@ -213,7 +213,6 @@ def test_adam_first_step_magnitude():
     adam_step(state, theta, grad)
     expected = -0.1 / (math.sqrt(0.001) + 1e-8)      # about -3.16228
     assert np.allclose(theta, [0.5 + expected, -2.0, expected], rtol=1e-9)
-    assert state.step == 1
     assert state.first_moment.shape == state.second_moment.shape == theta.shape
 
 
@@ -230,7 +229,7 @@ def test_adam_errors():
         adam_step(state, np.zeros(3), np.zeros(2))
     with pytest.raises(ShapeError, match="ndim=2"):
         adam_step(state, np.zeros((2, 3)), np.zeros((2, 3)))
-    assert state.first_moment is None and state.step == 0
+    assert state.first_moment is None
 
 
 def test_parameter_vector_is_the_network():
@@ -294,10 +293,13 @@ def test_single_linear_encoder_matches_matmul():
 def test_inference_reconstruction_in_unit_interval():
     net = build_network(6, [5], 3, RngStream(13))
     x = RngStream(14).uniform((20, 6))
-    out = reconstruct(net, x)
+    z = encode(net, x)
+    out = z
+    for layer in net.decoder:
+        out, _ = dense_forward(layer, out, False)
     assert out.shape == x.shape
     assert out.min() >= 0.0 and out.max() <= 1.0
-    probs = classify(net, x)
+    probs = dense_forward(net.classifier, z, False)[0][:, 0]
     assert probs.shape == (20,)
     assert probs.min() >= 0.0 and probs.max() <= 1.0
 
@@ -406,7 +408,6 @@ def test_adam_step_matches_reference_bit_for_bit(size):
     assert np.array_equal(_bits(theta), _bits(want_theta))
     assert np.array_equal(_bits(state.first_moment), _bits(want_m))
     assert np.array_equal(_bits(state.second_moment), _bits(want_v))
-    assert state.step == 5
     assert all(buf.size == min(size, ADAM_BLOCK) for buf in state.scratch)
 
 

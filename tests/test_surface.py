@@ -1,0 +1,74 @@
+"""The package holds only what its commands, its library API and the
+benchmark use: every top-level function and class in ``src/claire`` is
+referenced in the package outside its own definition, or is exported in
+``claire.__all__``, or is one of the few names listed below with the
+reason it stays."""
+import ast
+import os
+
+import claire
+
+SRC = os.path.dirname(claire.__file__)
+
+# name -> why it stays although nothing in the package refers to it
+KEPT = {
+    "cmd_*": "claire.cli.main dispatches each command to cmd_<command> by name",
+    "kkt_violation": "the traced benchmark's independent KKT recomputation (svm.kkt_gap)",
+    "additivity_gap": "the Shapley additivity check of the acceptance gates",
+}
+# modules whose names all stay, and why
+KEPT_MODULES = {
+    "synthetic": "the benchmark's and the tests' table generators, used from outside",
+}
+
+
+def _definitions_and_references():
+    """(module, name) of every top-level def and class, and for each
+    identifier the set of (module, enclosing top-level name) it is used in;
+    the enclosing name is None outside a def or class."""
+    defined, used = [], {}
+    for filename in sorted(os.listdir(SRC)):
+        if not filename.endswith(".py"):
+            continue
+        module = filename[:-3]
+        with open(os.path.join(SRC, filename), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for stmt in tree.body:
+            owner = None
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                owner = stmt.name
+                defined.append((module, owner))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    used.setdefault(node.id, set()).add((module, owner))
+                elif isinstance(node, ast.Attribute):
+                    used.setdefault(node.attr, set()).add((module, owner))
+    return defined, used
+
+
+def _listed(key: str, name: str) -> bool:
+    return name == key or key.endswith("*") and name.startswith(key[:-1])
+
+
+def _unused(defined, used):
+    """The definitions that nothing else in the package refers to and that
+    ``claire.__all__`` does not export."""
+    return [(module, name) for module, name in defined
+            if not used.get(name, set()) - {(module, name)} and name not in claire.__all__]
+
+
+def test_every_definition_is_used_exported_or_listed():
+    defined, used = _definitions_and_references()
+    unlisted = [f"{module}.{name}" for module, name in _unused(defined, used)
+                if module not in KEPT_MODULES and not any(_listed(k, name) for k in KEPT)]
+    assert unlisted == []
+
+
+def test_every_listed_name_exists_and_needs_its_entry():
+    defined, used = _definitions_and_references()
+    unused = _unused(defined, used)
+    for key in KEPT:
+        matches = [d for d in defined if _listed(key, d[1])]
+        assert matches and all(d in unused for d in matches), key
+    for module in KEPT_MODULES:
+        assert any(m == module for m, _ in unused), module

@@ -13,9 +13,29 @@ import numpy as np
 import pytest
 
 from claire.errors import DegenerateDataError, InputError, ShapeError
-from claire.svm import (KernelSpec, SvmModel, decision_function, dual_objective,
-                        full_alphas, kernel_eval, kernel_matrix, kkt_violation,
-                        predict_labels, resolve_kernel, smo_train)
+from claire.svm import (SV_THRESHOLD, KernelSpec, SvmModel, _pair_updates, decision_function,
+                        full_alphas, kernel_matrix, kkt_violation, predict_labels,
+                        resolve_kernel, smo_train)
+
+
+def kernel_eval(spec, u, v):
+    """Kernel value for a single pair of vectors."""
+    u = np.asarray(u, dtype=np.float64).reshape(-1)
+    v = np.asarray(v, dtype=np.float64).reshape(-1)
+    if spec.kind == "linear":
+        return float(u @ v)
+    if spec.kind == "polynomial":
+        return float((u @ v + spec.coef0) ** spec.degree)
+    if spec.kind == "rbf":
+        diff = u - v
+        return float(np.exp(-spec.gamma * (diff @ diff)))
+    return float(np.tanh(spec.gamma * (u @ v) + spec.coef0))
+
+
+def dual_objective(gram, y, alpha):
+    """Maximized dual: sum(alpha) - 0.5 * (alpha*y)' K (alpha*y)."""
+    coef = alpha * y
+    return float(alpha.sum() - 0.5 * coef @ gram @ coef)
 
 
 def oracle_gram(x, kind, gamma=1.0):
@@ -177,22 +197,40 @@ def test_duplicating_training_rows_keeps_decisions():
     assert np.abs(d1 - d2).max() < 0.05
 
 
+def _solver_iterates(x, y, spec, c, tol=1e-3):
+    """Drive the solver's own generator on the solver's own Gram matrix to
+    the gap at which smo_train stops. Returns the oracle's dual at every
+    iterate, the dual that each iterate's gradient implies,
+    0.5 sum(a) - 0.5 a'G, and the last multipliers."""
+    gram, oracle = kernel_matrix(spec, x, x), oracle_gram(x, spec.kind, spec.gamma)
+    duals, implied = [], []
+    for alpha, grad, gap in _pair_updates(gram, y, c):
+        duals.append(dual_objective(oracle, y, alpha))
+        implied.append(0.5 * float(alpha.sum()) - 0.5 * float(alpha @ grad))
+        if gap <= tol:
+            return np.array(duals), np.array(implied), alpha.copy()
+
+
 def test_dual_objective_never_decreases():
     x, y, _ = _cloud_problem()
-    m = smo_train(x, y, KernelSpec.rbf(0.5), c=3.0, track_objective=True)
-    trace = m.objective_trace
-    assert trace is not None and len(trace) > 10
-    assert np.diff(trace).min() >= -1e-9
-    assert trace[-1] > trace[0]
+    m = smo_train(x, y, KernelSpec.rbf(0.5), c=3.0)
+    duals, _, alpha = _solver_iterates(x, y, KernelSpec.rbf(0.5), c=3.0)
+    # the same iterates as smo_train's: as many updates, the same multipliers
+    assert len(duals) == m.n_sweeps + 1 > 10
+    assert np.array_equal(np.where(alpha > SV_THRESHOLD, alpha, 0.0), full_alphas(m, len(y)))
+    assert np.diff(duals).min() >= -1e-9
+    assert duals[-1] > duals[0] == 0.0
 
 
 def test_objective_trace_matches_recomputed_dual():
     x, y, _ = _cloud_problem()
-    m = smo_train(x, y, KernelSpec.rbf(0.5), c=3.0, track_objective=True)
-    gram = oracle_gram(x, "rbf", 0.5)
-    final = dual_objective(gram, y, full_alphas(m, len(y)))
-    assert m.objective_trace[-1] == pytest.approx(final, rel=1e-9)
-    assert len(m.objective_trace) == m.n_sweeps
+    m = smo_train(x, y, KernelSpec.rbf(0.5), c=3.0)
+    duals, implied, _ = _solver_iterates(x, y, KernelSpec.rbf(0.5), c=3.0)
+    # at every iterate the solver's gradient G = Qa - 1 gives the oracle's dual
+    assert len(implied) == m.n_sweeps + 1
+    assert np.allclose(implied, duals, rtol=1e-9, atol=0.0)
+    final = dual_objective(oracle_gram(x, "rbf", 0.5), y, full_alphas(m, len(y)))
+    assert implied[-1] == pytest.approx(final, rel=1e-9)
 
 
 def test_converges_below_tolerance():
@@ -202,11 +240,6 @@ def test_converges_below_tolerance():
         assert m.converged
         assert 0.0 <= m.kkt_gap <= tol
         assert kkt_violation(m, x, y) <= tol
-
-
-def test_objective_trace_off_by_default():
-    m = smo_train(XOR_X, XOR_Y, KernelSpec.rbf(1.0), c=10.0)
-    assert m.objective_trace is None
 
 
 def test_gives_up_with_converged_false():

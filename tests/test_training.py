@@ -5,10 +5,11 @@ import pytest
 from claire.data import TabularDataset, run_pipeline
 from claire.errors import DegenerateDataError, DivergenceError, InputError
 from claire.evaluate import compute_metrics, lda_fit
-from claire.network import LossWeights, named_parameters
+from claire.network import LossWeights
 from claire.svm import KernelSpec, predict_labels
 from claire.training import (SvmConfig, TrainConfig, extract_latent, model_codes,
                              predict, train_phase1, train_phase2, train_pipeline)
+from conftest import named_parameters
 
 SMALL = dict(epochs=15, batch_size=32, latent_dim=4, hidden_widths=[16, 8], seed=7)
 
