@@ -29,7 +29,7 @@ from .errors import (ClaireError, ConditioningError, DegenerateDataError, InputE
 from .evaluate import compute_metrics, lda_fit, project_export
 from .explain import (class_conditional_importance, coalition_count, dependence_export,
                       explain_encoder, explain_plan, global_importance)
-from .model_io import bundle_dict, load_bundle
+from .model_io import bundle_dict, load_bundle, write_json
 from .network import LossWeights
 from .numerics import substream_seed
 from .svm import KERNELS, KernelSpec, predict_labels
@@ -287,12 +287,6 @@ def write_csv(path: str, header: list[str], rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def write_json(path: str, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
 
 
 def _prepare(cfg: dict):

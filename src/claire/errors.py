@@ -30,10 +30,11 @@ class NumericError(ClaireError):
 
 
 class DivergenceError(NumericError):
-    """Training blew up. Carries the epoch, batch and offending loss term."""
+    """Phase-1 training blew up: a loss value of a step was non-finite or
+    larger in magnitude than the guard. Carries the epoch, the batch and the
+    value's name: recon, latent, clf, ent (the unweighted terms) or total."""
 
-    def __init__(self, message: str, epoch: int | None = None,
-                 batch: int | None = None, term: str | None = None):
+    def __init__(self, message: str, epoch: int, batch: int, term: str):
         super().__init__(message)
         self.epoch = epoch
         self.batch = batch

@@ -42,17 +42,27 @@ def _layer_dict(layer: DenseLayer) -> dict:
     return doc
 
 
+def _per_row(values, rows: int, key: str) -> np.ndarray:
+    """A layer's vector with one float per weight row, or ValueError."""
+    vector = np.array(values, dtype=np.float64)
+    if vector.shape != (rows,):
+        raise ValueError(f"{vector.size} {key} values for {rows} weight rows")
+    return vector
+
+
 def _layer_from(doc: dict) -> DenseLayer:
+    weights = np.array(doc["weights"], dtype=np.float64)
+    rows = len(weights)
     bn = None
     if doc["batch_norm"] is not None:
         b = doc["batch_norm"]
-        bn = BatchNormState(gamma=np.array(b["gamma"]), beta=np.array(b["beta"]),
-                            running_mean=np.array(b["running_mean"]),
-                            running_var=np.array(b["running_var"]),
-                            momentum=b["momentum"], epsilon=b["epsilon"])
-    drop = DropoutState(doc["dropout_keep"]) if doc["dropout_keep"] is not None else None
-    act = Activation(doc["activation"]["kind"], doc["activation"]["slope"])
-    return DenseLayer(weights=np.array(doc["weights"]), bias=np.array(doc["bias"]),
+        bn = BatchNormState(*(_per_row(b[key], rows, key)
+                              for key in ("gamma", "beta", "running_mean", "running_var")),
+                            momentum=float(b["momentum"]), epsilon=float(b["epsilon"]))
+    keep = doc["dropout_keep"]
+    drop = DropoutState(float(keep)) if keep is not None else None
+    act = Activation(doc["activation"]["kind"], float(doc["activation"]["slope"]))
+    return DenseLayer(weights=weights, bias=_per_row(doc["bias"], rows, "bias"),
                       activation=act, batch_norm=bn, dropout=drop)
 
 
@@ -89,13 +99,19 @@ def _svm_dict(model: SvmModel) -> dict:
 
 def _svm_from(doc: dict) -> SvmModel:
     k = doc["kernel"]
-    return SvmModel(kernel=KernelSpec(k["kind"], gamma=k["gamma"], degree=k["degree"],
-                                      coef0=k["coef0"]),
-                    c=doc["c"],
-                    support_vectors=np.array(doc["support_vectors"], dtype=np.float64),
-                    dual_coef=np.array(doc["dual_coef"], dtype=np.float64),
+    if k["gamma"] is None and k["kind"] in ("rbf", "sigmoid"):
+        raise ValueError(f"a trained {k['kind']} kernel needs a gamma")
+    support_vectors = np.array(doc["support_vectors"], dtype=np.float64)
+    dual_coef = np.array(doc["dual_coef"], dtype=np.float64)
+    if dual_coef.shape != (len(support_vectors),):
+        raise ValueError(f"{dual_coef.size} dual coefficients for "
+                         f"{len(support_vectors)} support vectors")
+    gamma = float(k["gamma"]) if k["gamma"] is not None else None
+    return SvmModel(kernel=KernelSpec(k["kind"], gamma=gamma, degree=k["degree"],
+                                      coef0=float(k["coef0"])),
+                    c=float(doc["c"]), support_vectors=support_vectors, dual_coef=dual_coef,
                     support_indices=np.array(doc["support_indices"], dtype=np.int64),
-                    bias=doc["bias"], converged=doc["converged"],
+                    bias=float(doc["bias"]), converged=doc["converged"],
                     n_sweeps=doc["n_sweeps"])
 
 
@@ -154,10 +170,15 @@ def bundle_dict(model: TrainedModel) -> dict:
     }
 
 
-def save_bundle(path: str, model: TrainedModel) -> None:
+def write_json(path: str, doc: dict) -> None:
+    """The one JSON writer of the package, for bundles and reports alike."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(bundle_dict(model), fh, indent=1)
+        json.dump(doc, fh, indent=1)
         fh.write("\n")
+
+
+def save_bundle(path: str, model: TrainedModel) -> None:
+    write_json(path, bundle_dict(model))
 
 
 _REQUIRED = object()

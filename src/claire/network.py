@@ -32,7 +32,8 @@ and normalizes that block in place, column means are column sums over n
 (which is what ``np.mean`` computes), and LeakyReLU is a ``maximum``. The
 encoder's first layer reads the data, so ``backward`` never forms that
 layer's input gradient (d_a @ W, about a seventh of a step's matmul work
-on a 560-column table).
+on a 560-column table). Layer caches are tuples and the loss terms a
+named tuple, so a step builds no dict.
 
 The joint objective is
 
@@ -49,10 +50,11 @@ paths through batch statistics, dropout masks and the variance penalty.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateDataError, NumericError, ShapeError, StateError
+from .errors import DegenerateDataError, ShapeError, StateError
 from .numerics import RngStream, as_matrix
 
 LOG_CLAMP = 1e-12
@@ -175,9 +177,10 @@ def build_network(input_dim: int, hidden_widths: list[int], latent_dim: int,
 
 
 def batchnorm_forward(state: BatchNormState, a: np.ndarray,
-                      training: bool) -> tuple[np.ndarray, dict | None]:
-    """Normalize per column. Training uses population batch statistics and
-    updates the running estimates in place; inference uses the running ones.
+                      training: bool) -> tuple[np.ndarray, tuple | None]:
+    """Normalize per column. Training uses population batch statistics,
+    updates the running estimates in place and returns the cache
+    (normalized, std); inference uses the running ones and returns None.
     """
     a = as_matrix(a, "batch norm input")
     if training:
@@ -195,18 +198,18 @@ def batchnorm_forward(state: BatchNormState, a: np.ndarray,
         normalized /= std
         out = normalized * state.gamma
         out += state.beta
-        return out, {"normalized": normalized, "std": std}
+        return out, (normalized, std)
     std = np.sqrt(state.running_var + state.epsilon)
     normalized = (a - state.running_mean) / std
     return state.gamma * normalized + state.beta, None
 
 
-def batchnorm_backward(state: BatchNormState, cache: dict,
+def batchnorm_backward(state: BatchNormState, cache: tuple,
                        d_out: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients through training-mode batch norm, including the dependence
     of the batch mean and variance on every row.
     """
-    normalized, std = cache["normalized"], cache["std"]
+    normalized, std = cache
     n = d_out.shape[0]
     scratch = d_out * normalized
     d_gamma = scratch.sum(axis=0)
@@ -224,11 +227,12 @@ def batchnorm_backward(state: BatchNormState, cache: dict,
 
 
 def dense_forward(layer: DenseLayer, h_in: np.ndarray, training: bool,
-                  rng: RngStream | None = None) -> tuple[np.ndarray, dict | None]:
+                  rng: RngStream | None = None) -> tuple[np.ndarray, tuple | None]:
     """One layer: affine, optional batch norm, activation, optional dropout.
 
-    Returns (output, cache); the cache is only built in training mode and
-    holds what the backward pass needs.
+    Returns (output, cache). The cache is only built in training mode: the
+    tuple (h_in, pre_act, post_act, bn_cache, mask) that the backward pass
+    needs, with None for a batch norm or dropout the layer does not have.
     """
     h_in = as_matrix(h_in, "layer input")
     if h_in.shape[1] != layer.weights.shape[1]:
@@ -255,27 +259,24 @@ def dense_forward(layer: DenseLayer, h_in: np.ndarray, training: bool,
         h_out = h_act
     if not training:
         return h_out, None
-    cache = {"h_in": h_in, "pre_act": u, "post_act": h_act,
-             "bn": bn_cache, "mask": mask}
-    return h_out, cache
+    return h_out, (h_in, u, h_act, bn_cache, mask)
 
 
-def dense_backward(layer: DenseLayer, cache: dict, d_out: np.ndarray,
+def dense_backward(layer: DenseLayer, cache: tuple, d_out: np.ndarray,
                    input_grad: bool = True) -> tuple[np.ndarray | None, list[np.ndarray]]:
     """Gradients for one layer. Returns (d_input, [weights, bias[, gamma, beta]]);
     d_input is None when ``input_grad`` is false, as for a network's first
     layer, whose input is data."""
     if cache is None:
         raise StateError("dense_backward needs a training-mode cache")
-    d = d_out
-    if cache["mask"] is not None:
-        d = d * cache["mask"]
-    d_u = layer.activation.backward(d, cache["pre_act"], cache["post_act"])
+    h_in, pre_act, post_act, bn_cache, mask = cache
+    d = d_out if mask is None else d_out * mask
+    d_u = layer.activation.backward(d, pre_act, post_act)
     d_a, bn_grads = d_u, []
     if layer.batch_norm is not None:
-        d_a, *bn_grads = batchnorm_backward(layer.batch_norm, cache["bn"], d_u)
+        d_a, *bn_grads = batchnorm_backward(layer.batch_norm, bn_cache, d_u)
     d_in = d_a @ layer.weights if input_grad else None
-    return d_in, [d_a.T @ cache["h_in"], d_a.sum(axis=0), *bn_grads]
+    return d_in, [d_a.T @ h_in, d_a.sum(axis=0), *bn_grads]
 
 
 def _stack_forward(layers, x, training, rng):
@@ -329,7 +330,7 @@ class ForwardPass:
     y_hat: np.ndarray            # column vector (n, 1)
     encoder_caches: list | None
     decoder_caches: list | None
-    classifier_cache: dict | None
+    classifier_cache: tuple | None
 
 
 def training_forward(params: NetworkParams, x_corrupted: np.ndarray,
@@ -362,8 +363,7 @@ class LossWeights:
     entropy_weight: float = 0.01
 
 
-@dataclass(frozen=True)
-class LossComponents:
+class LossComponents(NamedTuple):
     """Unweighted loss terms from one batch."""
     recon: float
     latent: float
@@ -405,21 +405,13 @@ def loss_entropy(y_hat: np.ndarray) -> float:
     return float(-(p * np.log(p) + (1 - p) * np.log(1 - p)).mean())
 
 
-def total_loss(components: LossComponents,
-               weights: LossWeights) -> tuple[float, dict[str, float]]:
-    """Weighted sum of the four terms plus an unweighted breakdown."""
-    breakdown = {"recon": components.recon, "latent": components.latent,
-                 "clf": components.clf, "ent": components.ent}
-    for term, value in breakdown.items():
-        if not np.isfinite(value):
-            raise NumericError(f"loss term {term!r} is non-finite: {value}")
-    total = (components.recon
-             + weights.latent_weight * components.latent
-             + weights.classifier_weight * components.clf
-             + weights.entropy_weight * components.ent)
-    if not np.isfinite(total):
-        raise NumericError(f"total loss is non-finite: {total}")
-    return float(total), breakdown
+def total_loss(components: LossComponents, weights: LossWeights) -> float:
+    """Weighted sum of the four terms. It checks nothing: the training loop
+    guards the terms and the total."""
+    return float(components.recon
+                 + weights.latent_weight * components.latent
+                 + weights.classifier_weight * components.clf
+                 + weights.entropy_weight * components.ent)
 
 
 def batch_losses(fwd: ForwardPass, x_clean: np.ndarray, y: np.ndarray) -> LossComponents:

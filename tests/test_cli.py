@@ -770,6 +770,25 @@ def test_null_bundle_preprocess_block_takes_the_defaults(workspace, trained, tmp
     assert metrics[0] == metrics[1]
 
 
+@pytest.mark.parametrize("edit,key", [
+    (lambda doc: doc["svm"].update(bias="x"), "'svm'"),
+    (lambda doc: doc["svm"].update(dual_coef=doc["svm"]["dual_coef"][:-1]), "'svm'"),
+    (lambda doc: doc["svm"]["kernel"].update(gamma=None), "'svm'"),
+    (lambda doc: doc["network"]["encoder"][0]["activation"].update(slope="x"), "'network'"),
+    (lambda doc: doc["network"]["encoder"][0].update(bias=[0.0]), "'network'"),
+    (lambda doc: doc["network"]["encoder"][0]["batch_norm"].update(gamma=[1.0]), "'network'"),
+], ids=["svm.bias", "svm.dual_coef", "svm.kernel.gamma", "encoder.slope", "encoder.bias",
+        "encoder.gamma"])
+def test_bad_bundle_value_exits_two_naming_its_section(trained, tmp_path, no_loader, capsys,
+                                                       edit, key):
+    doc = json.load(open(os.path.join(trained, "model.json")))
+    edit(doc)
+    bundle = tmp_path / "model.json"
+    bundle.write_text(json.dumps(doc))
+    rc = main(["eval", "--model", str(bundle), "--out", str(tmp_path / "out")])
+    _assert_one_line_input_error(rc, capsys.readouterr().err, str(bundle), key)
+
+
 def test_readme_lists_every_config_key_with_its_default_and_range():
     from claire.cli import DATASET_KINDS, SETTINGS
     readme = open(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),

@@ -42,8 +42,7 @@ def fd_check_one(seed: int) -> int:
 
     def loss_value() -> float:
         fwd = training_forward(net, x_corrupted, RngStream(dropout_seed))
-        total, _ = total_loss(batch_losses(fwd, x_clean, y), weights)
-        return total
+        return total_loss(batch_losses(fwd, x_clean, y), weights)
 
     fwd = training_forward(net, x_corrupted, RngStream(dropout_seed))
     grad = backward(net, fwd, x_clean, y, weights)

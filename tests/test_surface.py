@@ -2,7 +2,7 @@
 benchmark use: every top-level function and class in ``src/claire`` is
 referenced in the package outside its own definition, or is exported in
 ``claire.__all__``, or is one of the few names listed below with the
-reason it stays."""
+reason it stays. The phase-1 training step builds no dictionary."""
 import ast
 import os
 
@@ -72,3 +72,32 @@ def test_every_listed_name_exists_and_needs_its_entry():
         assert matches and all(d in unused for d in matches), key
     for module in KEPT_MODULES:
         assert any(m == module for m, _ in unused), module
+
+
+# the functions a phase-1 training step runs, by module
+STEP_FUNCTIONS = {
+    "network": ("batchnorm_forward", "batchnorm_backward", "dense_forward", "dense_backward",
+                "_stack_forward", "_stack_backward", "training_forward", "batch_losses",
+                "total_loss", "backward", "adam_step", "corrupt"),
+    "training": ("train_phase1",),
+}
+
+
+def _builds_a_dict(node) -> bool:
+    return (isinstance(node, (ast.Dict, ast.DictComp))
+            or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "dict")
+
+
+def test_training_step_builds_no_dict():
+    found, offenders = set(), []
+    for module, names in STEP_FUNCTIONS.items():
+        with open(os.path.join(SRC, f"{module}.py"), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for stmt in tree.body:
+            if isinstance(stmt, ast.FunctionDef) and stmt.name in names:
+                found.add(stmt.name)
+                offenders += [f"{module}.{stmt.name}:{node.lineno}" for node in ast.walk(stmt)
+                              if _builds_a_dict(node)]
+    assert found == {name for names in STEP_FUNCTIONS.values() for name in names}
+    assert offenders == []

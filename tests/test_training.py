@@ -1,14 +1,18 @@
 """Orchestration of the two training phases on small separable data."""
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from claire.data import TabularDataset, run_pipeline
 from claire.errors import DegenerateDataError, DivergenceError, InputError
 from claire.evaluate import compute_metrics, lda_fit
-from claire.network import LossWeights
+from claire.network import LossComponents, LossWeights
+from claire.numerics import RngStream, substream_seed
 from claire.svm import KernelSpec, predict_labels
-from claire.training import (SvmConfig, TrainConfig, extract_latent, model_codes,
-                             predict, train_phase1, train_phase2, train_pipeline)
+from claire.training import (LOSS_TERMS, EpochLog, SvmConfig, TrainConfig, extract_latent,
+                             model_codes, predict, train_phase1, train_phase2,
+                             train_pipeline)
 from conftest import named_parameters
 
 SMALL = dict(epochs=15, batch_size=32, latent_dim=4, hidden_widths=[16, 8], seed=7)
@@ -101,6 +105,27 @@ def test_divergence_error_names_the_blowup(two_cloud_dataset):
     assert err.epoch == 1
     assert err.batch >= 1
     assert err.term in ("recon", "latent", "clf", "ent")
+
+
+def test_divergence_from_a_nan_feature_names_its_term(two_cloud_dataset):
+    features = two_cloud_dataset.features.copy()
+    features[0, 0] = np.nan
+    table = TabularDataset(features, two_cloud_dataset.labels,
+                           two_cloud_dataset.feature_names)
+    cfg = TrainConfig(mode="CLAIRE", **SMALL)
+    with pytest.raises(DivergenceError, match="loss term 'recon' = nan") as exc_info:
+        train_phase1(table, cfg)
+    # row 0 poisons the batch norm statistics of its batch, so the first
+    # guarded value of that batch, the reconstruction term, is nan
+    order = RngStream(substream_seed(cfg.seed, "shuffle")).permutation(table.n_rows)
+    want_batch = int(np.flatnonzero(order == 0)[0]) // cfg.batch_size + 1
+    err = exc_info.value
+    assert (err.epoch, err.batch, err.term) == (1, want_batch, "recon")
+
+
+def test_guarded_losses_are_the_epoch_log_fields():
+    assert LOSS_TERMS == tuple(f.name for f in fields(EpochLog))[1:]
+    assert LOSS_TERMS[:-1] == LossComponents._fields
 
 
 def test_extract_latent_copies_labels(two_cloud_dataset):
