@@ -29,7 +29,7 @@ from .errors import (ClaireError, ConditioningError, DegenerateDataError, InputE
 from .evaluate import compute_metrics, lda_fit, project_export
 from .explain import (class_conditional_importance, coalition_count, dependence_export,
                       explain_encoder, explain_plan, global_importance)
-from .model_io import bundle_dict, load_bundle, write_json
+from .model_io import REPORT, bundle_dict, load_bundle, write_json
 from .network import LossWeights
 from .numerics import substream_seed
 from .svm import KERNELS, KernelSpec, predict_labels
@@ -310,7 +310,7 @@ def cmd_preprocess(cfg: dict, args) -> int:
                   prepared.kept_names + ["label"],
                   (row + [lab] for row, lab in zip(split.features.tolist(),
                                                    split.labels.tolist())))
-    write_json(os.path.join(out, "preprocess_report.json"), prepared.report.to_json_dict())
+    write_json(os.path.join(out, "preprocess_report.json"), REPORT.dump(prepared.report))
     print(f"wrote train.csv, test.csv, preprocess_report.json to {out}")
     return 0
 
@@ -330,7 +330,7 @@ def cmd_train(cfg: dict, args) -> int:
                   ["epoch", "l_recon", "l_latent", "l_clf", "l_ent", "l_total"],
                   ((e.epoch, e.recon, e.latent, e.clf, e.ent, e.total)
                    for e in model.epoch_logs))
-    write_json(os.path.join(out, "preprocess_report.json"), model.report.to_json_dict())
+    write_json(os.path.join(out, "preprocess_report.json"), REPORT.dump(model.report))
     svm = model.svm
     if not svm.converged:
         print(f"warning: svm update budget ({svm_cfg.max_passes} per row) ran out "

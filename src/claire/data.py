@@ -81,35 +81,13 @@ class ScalerState:
 
 @dataclass
 class PreprocessReport:
-    """What preprocessing did, for the JSON report and the model bundle."""
+    """What preprocessing did. ``model_io.REPORT`` declares its JSON form:
+    preprocess_report.json and the model bundle's preprocessing.report."""
     dropped_columns: list[tuple[str, float]] = field(default_factory=list)
     imputed_columns: list[tuple[str, float]] = field(default_factory=list)
     class_counts_before: dict[str, int] | None = None
     class_counts_after: dict[str, int] | None = None
     outlier_detection: str = "not applied"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "dropped_columns": [{"name": n, "missing_fraction": f}
-                                for n, f in self.dropped_columns],
-            "imputed_columns": [{"name": n, "median": m}
-                                for n, m in self.imputed_columns],
-            "class_counts_before_oversampling": self.class_counts_before,
-            "class_counts_after_oversampling": self.class_counts_after,
-            "outlier_detection": self.outlier_detection,
-        }
-
-    @staticmethod
-    def from_json_dict(doc: dict) -> "PreprocessReport":
-        return PreprocessReport(
-            dropped_columns=[(e["name"], float(e["missing_fraction"]))
-                             for e in doc.get("dropped_columns", [])],
-            imputed_columns=[(e["name"], float(e["median"]))
-                             for e in doc.get("imputed_columns", [])],
-            class_counts_before=doc.get("class_counts_before_oversampling"),
-            class_counts_after=doc.get("class_counts_after_oversampling"),
-            outlier_detection=doc.get("outlier_detection", "not applied"),
-        )
 
 
 def _parse_float(token: str, path: str, line_no: int) -> float:
@@ -218,15 +196,10 @@ def load_secom(features_path: str, labels_path: str) -> TabularDataset:
                     continue
                 token = line.split()[0]
                 try:
-                    raw = int(float(token))
-                except ValueError as exc:
-                    raise InputError(f"{labels_path}:{line_no}: bad label {token!r}") from exc
-                if raw == -1:
-                    labels.append(1)   # pass -> success
-                elif raw == 1:
-                    labels.append(0)   # fail -> failure
-                else:
-                    raise InputError(f"{labels_path}:{line_no}: label must be -1 or 1, got {raw}")
+                    labels.append({-1.0: 1, 1.0: 0}[float(token)])   # pass -> 1, fail -> 0
+                except (ValueError, KeyError):
+                    raise InputError(f"{labels_path}:{line_no}: label must be -1 or 1, "
+                                     f"got {token!r}") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read labels file {labels_path}: {exc}") from exc
 

@@ -58,11 +58,12 @@ from .errors import DegenerateDataError, ShapeError, StateError
 from .numerics import RngStream, as_matrix
 
 LOG_CLAMP = 1e-12
+ACTIVATIONS = ("leaky_relu", "sigmoid", "linear")
 
 
 @dataclass(frozen=True)
 class Activation:
-    kind: str                 # "leaky_relu" | "sigmoid" | "linear"
+    kind: str                 # one of ACTIVATIONS
     slope: float = 0.01       # leaky_relu only
 
     def apply(self, a: np.ndarray) -> np.ndarray:

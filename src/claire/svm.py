@@ -239,19 +239,13 @@ def smo_train(features: np.ndarray, y: np.ndarray, kernel: KernelSpec,
     if unbounded.any():
         b = float(np.mean(y[unbounded] - g[unbounded]))
     else:
+        # every multiplier is at a bound. Neither set is empty: that needs one
+        # class all at C and the other all at 0, so y'alpha = +-n*C, while the
+        # pair updates keep y'alpha = 0 and both classes are present
         margins = y - g
         lower_set = ((alpha <= 1e-8 * c) & (y > 0)) | ((alpha >= c * (1 - 1e-8)) & (y < 0))
         upper_set = ((alpha <= 1e-8 * c) & (y < 0)) | ((alpha >= c * (1 - 1e-8)) & (y > 0))
-        lo = margins[lower_set].max() if lower_set.any() else -np.inf
-        hi = margins[upper_set].min() if upper_set.any() else np.inf
-        if np.isfinite(lo) and np.isfinite(hi):
-            b = float(0.5 * (lo + hi))
-        elif np.isfinite(lo):
-            b = float(lo)
-        elif np.isfinite(hi):
-            b = float(hi)
-        else:
-            b = 0.0
+        b = float(0.5 * (margins[lower_set].max() + margins[upper_set].min()))
 
     sv_mask = alpha > SV_THRESHOLD
     return SvmModel(

@@ -262,7 +262,7 @@ def test_preprocessing_invariants(capsys, line_sweep):
     if prepared.train.provenance != "train" or prepared.test.provenance != "test":
         problems.append("split provenance tags wrong")
 
-    dropped = {d["name"] for d in prepared.report.to_json_dict()["dropped_columns"]}
+    dropped = {name for name, _ in prepared.report.dropped_columns}
     if set(prepared.kept_names) & dropped:
         problems.append("dropped columns leaked into kept names")
     if set(prepared.kept_names) | dropped != set(prepared.original_names):

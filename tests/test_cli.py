@@ -4,6 +4,7 @@ A tiny two-cloud CSV stands in for real line data: four informative
 columns plus one mostly-missing column the census must drop.
 """
 import json
+import math
 import os
 
 import numpy as np
@@ -525,10 +526,12 @@ def test_non_utf8_input_is_input_error(tmp_path, capsys, site):
 
 
 @pytest.mark.parametrize("command", ["eval", "explain", "project"])
-@pytest.mark.parametrize("doc,needle", [([1, 2], "not an object"),
-                                        ({"format": "claire-model/1"}, "'preprocessing'"),
-                                        ({"format": "claire-model/1", "preprocessing": 5},
-                                         "'preprocessing'")])
+@pytest.mark.parametrize("doc,needle", [
+    ([1, 2], "not an object"),
+    ({"format": "claire-model/1"}, ": mode is missing"),
+    ({"format": "claire-model/1", "mode": "CLAIRE", "seed": 1, "train_config": None,
+      "preprocessing": 5}, ": preprocessing must be an object, got 5"),
+])
 def test_bundle_of_the_wrong_shape_is_input_error(workspace, tmp_path, no_loader, capsys,
                                                   command, doc, needle):
     bundle = tmp_path / "model.json"
@@ -771,12 +774,14 @@ def test_null_bundle_preprocess_block_takes_the_defaults(workspace, trained, tmp
 
 
 @pytest.mark.parametrize("edit,key", [
-    (lambda doc: doc["svm"].update(bias="x"), "'svm'"),
-    (lambda doc: doc["svm"].update(dual_coef=doc["svm"]["dual_coef"][:-1]), "'svm'"),
-    (lambda doc: doc["svm"]["kernel"].update(gamma=None), "'svm'"),
-    (lambda doc: doc["network"]["encoder"][0]["activation"].update(slope="x"), "'network'"),
-    (lambda doc: doc["network"]["encoder"][0].update(bias=[0.0]), "'network'"),
-    (lambda doc: doc["network"]["encoder"][0]["batch_norm"].update(gamma=[1.0]), "'network'"),
+    (lambda doc: doc["svm"].update(bias="x"), ": svm.bias must be"),
+    (lambda doc: doc["svm"].update(dual_coef=doc["svm"]["dual_coef"][:-1]), ": svm.dual_coef "),
+    (lambda doc: doc["svm"]["kernel"].update(gamma=None), ": svm.kernel.gamma must be"),
+    (lambda doc: doc["network"]["encoder"][0]["activation"].update(slope="x"),
+     ": network.encoder[0].activation.slope must be"),
+    (lambda doc: doc["network"]["encoder"][0].update(bias=[0.0]), ": network.encoder[0].bias "),
+    (lambda doc: doc["network"]["encoder"][0]["batch_norm"].update(gamma=[1.0]),
+     ": network.encoder[0].batch_norm.gamma "),
 ], ids=["svm.bias", "svm.dual_coef", "svm.kernel.gamma", "encoder.slope", "encoder.bias",
         "encoder.gamma"])
 def test_bad_bundle_value_exits_two_naming_its_section(trained, tmp_path, no_loader, capsys,
@@ -787,6 +792,58 @@ def test_bad_bundle_value_exits_two_naming_its_section(trained, tmp_path, no_loa
     bundle.write_text(json.dumps(doc))
     rc = main(["eval", "--model", str(bundle), "--out", str(tmp_path / "out")])
     _assert_one_line_input_error(rc, capsys.readouterr().err, str(bundle), key)
+
+
+def _scalar_leaves(node, path=()):
+    """(path, value) of each scalar under ``node``, through the first two
+    entries of each list."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _scalar_leaves(value, (*path, key))
+    elif isinstance(node, list):
+        for i, value in enumerate(node[:2]):
+            yield from _scalar_leaves(value, (*path, i))
+    else:
+        yield path, node
+
+
+def _path_text(path):
+    """A leaf's path down to its last key, as a bundle error names it: a
+    number array is read whole, so its entries are not named."""
+    last = max(i for i, part in enumerate(path) if isinstance(part, str))
+    return "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path[:last + 1])[1:]
+
+
+def test_every_bad_bundle_leaf_exits_two_naming_its_path(trained, tmp_path, no_loader, capsys):
+    """Each scalar of the bundle outside format, dataset and preprocess,
+    replaced by each of these values unlike its own JSON type, exits 2 in
+    one line naming its path. NaN and Infinity are unlike every number.
+    true among the numbers of an array reads as 1.0, so it is left out."""
+    text = open(os.path.join(trained, "model.json"), encoding="utf-8").read()
+    doc = json.loads(text)
+    kept = {k: v for k, v in doc.items() if k not in ("format", "dataset", "preprocess")}
+    bundle = tmp_path / "model.json"
+    edits, loaded = 0, []
+    for path, leaf in _scalar_leaves(kept):
+        in_array = isinstance(path[-1], int) and isinstance(leaf, float)
+        for bad in ("x", True, 1.5, math.nan, math.inf, [], 10 ** 400):
+            nonfinite = isinstance(bad, float) and not math.isfinite(bad)
+            if (type(bad) is type(leaf) and not nonfinite) or (bad is True and in_array):
+                continue
+            edited = json.loads(text)
+            node = edited
+            for part in path[:-1]:
+                node = node[part]
+            node[path[-1]] = bad
+            bundle.write_text(json.dumps(edited), encoding="utf-8")
+            edits += 1
+            rc = main(["eval", "--model", str(bundle), "--out", str(tmp_path / "out")])
+            err = capsys.readouterr().err
+            if not (rc == 2 and len(err.strip().splitlines()) == 1
+                    and f"{bundle}: {_path_text(path)}" in err):
+                loaded.append((_path_text(path), repr(bad)[:20], rc, err.strip()[-80:]))
+    assert edits > 600
+    assert loaded == []
 
 
 def test_readme_lists_every_config_key_with_its_default_and_range():

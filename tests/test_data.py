@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from claire.data import (PreprocessReport, TabularDataset, apply_saved_preprocessing,
+from claire.data import (TabularDataset, apply_saved_preprocessing,
                          apply_scaler, fit_scaler, handle_missing, load_labeled_csv,
                          load_secom, load_tep, oversample_minority, run_pipeline,
                          stratified_split)
@@ -46,9 +46,12 @@ def test_load_secom_errors(tmp_path):
     lab.write_text("-1 x\n")
     with pytest.raises(InputError, match="label file has 1 rows"):
         load_secom(str(feat), str(lab))
-    lab.write_text("-1 x\n3 x\n")
-    with pytest.raises(InputError, match="must be -1 or 1"):
-        load_secom(str(feat), str(lab))
+    for bad in ("3", "1.5", "-1.9", "inf", "nan", "1e400", "x"):
+        lab.write_text(f"-1 x\n{bad} x\n")
+        with pytest.raises(InputError, match="l.txt:2: label must be -1 or 1"):
+            load_secom(str(feat), str(lab))
+    lab.write_text("-1.0 x\n1.0 x\n")
+    assert load_secom(str(feat), str(lab)).labels.tolist() == [1, 0]
     with pytest.raises(InputError):
         load_secom(str(tmp_path / "missing.txt"), str(lab))
 
@@ -285,14 +288,3 @@ def test_apply_saved_preprocessing_width_check():
     one_row = apply_saved_preprocessing(ds.features[0], prep.original_names,
                                         prep.kept_names, prep.medians, prep.scaler)
     assert one_row.shape == (1, len(prep.kept_names))
-
-
-def test_preprocess_report_json_round_trip():
-    report = PreprocessReport(
-        dropped_columns=[("a", 0.5)], imputed_columns=[("b", 1.25)],
-        class_counts_before={"failure": 3, "success": 9},
-        class_counts_after={"failure": 9, "success": 9})
-    doc = report.to_json_dict()
-    assert doc["outlier_detection"] == "not applied"
-    back = PreprocessReport.from_json_dict(doc)
-    assert back == report

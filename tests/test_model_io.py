@@ -2,9 +2,9 @@
 import numpy as np
 import pytest
 
-from claire.data import run_pipeline, TabularDataset
+from claire.data import PreprocessReport, run_pipeline, TabularDataset
 from claire.errors import InputError
-from claire.model_io import MODEL_FORMAT, bundle_dict, load_bundle, save_bundle
+from claire.model_io import MODEL_FORMAT, REPORT, bundle_dict, load_bundle, save_bundle
 from claire.svm import KernelSpec
 from claire.training import SvmConfig, TrainConfig, predict, train_pipeline
 from conftest import named_parameters
@@ -79,6 +79,17 @@ def test_format_and_parse_errors(tmp_path):
 
     with pytest.raises(InputError, match="cannot read"):
         load_bundle(str(tmp_path / "absent.json"))
+
+
+def test_preprocess_report_json_round_trip():
+    report = PreprocessReport(
+        dropped_columns=[("a", 0.5)], imputed_columns=[("b", 1.25)],
+        class_counts_before={"failure": 3, "success": 9},
+        class_counts_after={"failure": 9, "success": 9})
+    doc = REPORT.dump(report)
+    assert doc["outlier_detection"] == "not applied"
+    back = REPORT.load(doc)
+    assert back == report
 
 
 def test_bundle_format_tag():

@@ -177,6 +177,22 @@ def test_bound_hitting_duals_match_grid():
     assert kkt_violation(m, x, y) <= 1e-3
 
 
+def test_bias_with_no_free_multiplier_is_the_midpoint_of_the_bounds():
+    # at C = 1e-6 every multiplier of a random-label problem sits at 0 or C
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(40, 3))
+    y = np.where(rng.uniform(size=40) < 0.5, -1.0, 1.0)
+    c = 1e-6
+    m = smo_train(x, y, KernelSpec.rbf(0.5), c=c)
+    a = full_alphas(m, 40)
+    at_zero, at_c = a <= 1e-8 * c, a >= c * (1 - 1e-8)
+    assert np.all(at_zero | at_c)
+    margins = y - (a * y) @ kernel_matrix(m.kernel, x, x)
+    lo = margins[(at_zero & (y > 0)) | (at_c & (y < 0))].max()
+    hi = margins[(at_zero & (y < 0)) | (at_c & (y > 0))].min()
+    assert m.bias == pytest.approx(0.5 * (lo + hi), rel=1e-12, abs=1e-15)
+
+
 def _cloud_problem(n_per=15, offset=1.5, std=0.3, seed=11):
     rng = np.random.default_rng(seed)
     x = np.vstack([rng.normal(0, std, (n_per, 3)) + [offset, offset, 0],
