@@ -4,7 +4,8 @@ Subcommands: preprocess, train, eval, explain, project. Every setting is
 one entry of SETTINGS (DATASET_KINDS for the dataset's fields): the
 defaults, then an optional JSON config ("claire-config/1"), then the flags,
 all checked before any data is read. Outputs are UTF-8 CSV/JSON files in
-the output directory, with no timestamps, so a re-run reproduces them.
+the output directory, plus train's binary table cache (TABLE_CACHE), with
+no timestamps, so a re-run reproduces them.
 
 Exit codes: 0 success, 2 input or validation problem, 3 numeric
 divergence during training, 4 internal invariant breach.
@@ -37,6 +38,7 @@ from .training import (MODES, SvmConfig, TrainConfig, TrainedModel, model_codes,
                        train_pipeline)
 
 CONFIG_FORMAT = "claire-config/1"
+TABLE_CACHE = "table_cache.npy"     # train's parsed table, beside model.json
 
 INPUT_ERRORS = (InputError, ShapeError, StateError, DegenerateDataError, ConditioningError)
 
@@ -239,11 +241,24 @@ def parse_dataset_spec(spec: str) -> dict:
     raise InputError(f"unknown dataset kind {kind!r}; expected secom, tep or csv")
 
 
-def load_dataset(ds_cfg: dict | None) -> TabularDataset:
+def _dataset(ds_cfg: dict | None) -> dict:
+    """A dataset block, checked and completed with its kind's defaults."""
     if not ds_cfg:
         raise InputError("no dataset configured; pass --dataset or set it in the config")
     given = checked_dataset(ds_cfg)
-    ds = {key: rule.default for key, rule in DATASET_KINDS[given["kind"]].items()} | given
+    return {key: rule.default for key, rule in DATASET_KINDS[given["kind"]].items()} | given
+
+
+def _source(ds: dict) -> tuple[dict, list[str]]:
+    """A completed dataset block's table-cache key inputs: the loader's kind
+    and options (every field but the files), and its files."""
+    fields = DATASET_KINDS[ds["kind"]]
+    return ({key: value for key, value in ds.items() if fields.get(key) is not FILE},
+            [ds[key] for key, rule in fields.items() if rule is FILE])
+
+
+def load_dataset(ds: dict) -> TabularDataset:
+    """The raw table of a completed dataset block, from its loader."""
     if ds["kind"] == "secom":
         return data_mod.load_secom(ds["features"], ds["labels"])
     if ds["kind"] == "tep":
@@ -289,21 +304,44 @@ def write_csv(path: str, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _prepare(cfg: dict):
+def _prepare(cfg: dict, raw: TabularDataset):
     p = cfg["preprocess"]
-    return data_mod.run_pipeline(load_dataset(cfg["dataset"]),
-                                 drop_threshold=p["drop_threshold"],
+    return data_mod.run_pipeline(raw, drop_threshold=p["drop_threshold"],
                                  test_fraction=p["test_fraction"], seed=cfg["seed"])
 
 
 def _out_dir(cfg: dict) -> str:
     out = cfg["output_dir"]
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except (OSError, ValueError) as exc:
+        raise InputError(f"cannot create output directory {out}: {exc}") from exc
     return out
 
 
+def _check_out_dir(cfg: dict) -> None:
+    """Refuse an output directory that ``_out_dir`` could not create because
+    it, or the nearest of its parents that exists, is not a directory."""
+    out = cfg["output_dir"]
+    path = os.path.abspath(out)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise InputError(f"cannot create output directory {out}: {path} is not a directory")
+
+
+def _train_table(cfg: dict) -> TabularDataset:
+    """The raw training table, also written as the output directory's table
+    cache unless a source file changed while it was read."""
+    ds = _dataset(cfg["dataset"])
+    raw, key = data_mod.load_keyed(lambda: load_dataset(ds), *_source(ds))
+    if key is not None:
+        data_mod.write_table_cache(os.path.join(_out_dir(cfg), TABLE_CACHE), key, raw)
+    return raw
+
+
 def cmd_preprocess(cfg: dict, args) -> int:
-    prepared = _prepare(cfg)
+    prepared = _prepare(cfg, load_dataset(_dataset(cfg["dataset"])))
     out = _out_dir(cfg)
     for name, split in (("train", prepared.train), ("test", prepared.test)):
         write_csv(os.path.join(out, f"{name}.csv"),
@@ -318,7 +356,8 @@ def cmd_preprocess(cfg: dict, args) -> int:
 def cmd_train(cfg: dict, args) -> int:
     train_cfg = build_train_config(cfg)
     svm_cfg = build_svm_config(cfg)
-    prepared = _prepare(cfg)
+    _check_out_dir(cfg)
+    prepared = _prepare(cfg, _train_table(cfg))
     model = train_pipeline(prepared, train_cfg, svm_cfg)
     # preprocessing knobs ride along so later commands can replay the split
     model.preprocess = dict(cfg["preprocess"])
@@ -344,7 +383,7 @@ def cmd_train(cfg: dict, args) -> int:
 def _load_model(cfg: dict, args) -> TrainedModel:
     """The model bundle, its preprocess block checked by the SETTINGS rules
     and completed with their defaults before any dataset is read."""
-    model = load_bundle(args.model or os.path.join(cfg["output_dir"], "model.json"))
+    model = load_bundle(_bundle_path(cfg, args))
     given = dict(model.preprocess or {})
     model.preprocess = {}
     for name, rule in SETTINGS.items():
@@ -357,11 +396,20 @@ def _load_model(cfg: dict, args) -> TrainedModel:
     return model
 
 
-def _replay(model: TrainedModel, cfg: dict) -> TabularDataset:
+def _bundle_path(cfg: dict, args) -> str:
+    return args.model or os.path.join(cfg["output_dir"], "model.json")
+
+
+def _replay(model: TrainedModel, cfg: dict, args) -> TabularDataset:
     """Every row of the dataset, scaled with the preprocessing state stored
-    in the bundle.
+    in the bundle. The raw table comes from the table cache beside the
+    bundle when its key matches the dataset, else from the loader.
     """
-    raw = load_dataset(cfg["dataset"] or model.dataset)
+    ds = _dataset(cfg["dataset"] or model.dataset)
+    cache = os.path.join(os.path.dirname(_bundle_path(cfg, args)), TABLE_CACHE)
+    raw = data_mod.read_table_cache(cache, *_source(ds))
+    if raw is None:
+        raw = load_dataset(ds)
     if raw.features.shape[1] == len(model.original_names):
         # replay guard: the same missing-data census must drop the same columns
         _, drop = data_mod.missing_census(raw.features, model.preprocess["drop_threshold"])
@@ -384,7 +432,7 @@ def _split(model: TrainedModel, rows: TabularDataset) -> tuple[TabularDataset, T
 def _replay_codes(cfg: dict, args) -> tuple[TrainedModel, np.ndarray, np.ndarray]:
     """The model, and its codes and the labels of the requested split."""
     model = _load_model(cfg, args)
-    rows = _replay(model, cfg)
+    rows = _replay(model, cfg, args)
     if args.split != "all":
         train, test = _split(model, rows)
         rows = train if args.split == "train" else test
@@ -431,7 +479,7 @@ def cmd_explain(cfg: dict, args) -> int:
     coalition_count(len(model.kept_names), n_coalitions)     # refuses fewer than d + 2
     feat, color = (None if e[key] is None else _column_index(model, key, e[key])
                    for key in ("dependence_feature", "dependence_color"))
-    train, test = _split(model, _replay(model, cfg))
+    train, test = _split(model, _replay(model, cfg, args))
     train_x, test_x, test_labels = train.features, test.features, test.labels
     per_row = explain_plan(train_x.shape[0], test_x.shape[0], test_x.shape[1],
                            n_bg, n_eval, n_coalitions)

@@ -13,11 +13,20 @@ the C parser refuses it (``NA`` or empty fields, a ragged row, a token
 neither parser reads), when it is blank, or when a fault class or label
 breaks its column's rule. That parser is the reference the C path
 matches bit for bit, the only reader of ``NA`` and empty fields, and the
-only source of the ``path:line`` errors.
+only source of the ``path:line`` errors. A UTF-8 byte-order mark at the
+start of a file is skipped.
+
+A loaded table can be kept as a table cache (``write_table_cache``): its
+raw features, labels and names in one binary file, keyed by the digest of
+the loader's options and its source files' bytes. ``read_table_cache``
+gives the table back only while that key still matches.
 """
 from __future__ import annotations
 
+import hashlib
+import json
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, TextIO
@@ -181,7 +190,7 @@ def load_secom(features_path: str, labels_path: str) -> TabularDataset:
     tokens are preserved as NaN for the missing-data stage.
     """
     try:
-        with open(features_path, encoding="utf-8") as fh:
+        with open(features_path, encoding="utf-8-sig") as fh:
             features = _numeric_rows(fh, features_path, None, 1)
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read features file {features_path}: {exc}") from exc
@@ -190,7 +199,7 @@ def load_secom(features_path: str, labels_path: str) -> TabularDataset:
 
     labels: list[int] = []
     try:
-        with open(labels_path, encoding="utf-8") as fh:
+        with open(labels_path, encoding="utf-8-sig") as fh:
             for line_no, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
@@ -223,7 +232,7 @@ def load_tep(path: str, fault_classes: list[int] | None = None) -> TabularDatase
     ``fault_classes=None`` selects every non-zero class in the file.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             pos, line_no, first = _first_line(fh)
             if not first:
                 raise InputError(f"{path}: empty file")
@@ -272,7 +281,7 @@ def load_labeled_csv(path: str, label_column: str = "label") -> TabularDataset:
     """Load a generic comma-separated table with a header and a 0/1 label column."""
     need_rows = f"{path}: need a header row and at least one data row"
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             _, line_no, first = _first_line(fh)
             if not first:
                 raise InputError(need_rows)
@@ -289,6 +298,92 @@ def load_labeled_csv(path: str, label_column: str = "label") -> TabularDataset:
     names = [h for i, h in enumerate(header) if i != label_idx]
     return TabularDataset(np.delete(x, label_idx, axis=1),
                           x[:, label_idx].astype(np.int64), names)
+
+
+# Bump the tag whenever a loader would read the same bytes differently.
+_TABLE_TAG = b"claire-table/1\n"
+
+
+def table_digest(loader: dict, paths: list[str]) -> bytes | None:
+    """SHA-256 of the format tag, the loader's kind and options (``loader``,
+    a JSON object without the paths) and the bytes of each source file in
+    ``paths``, read in 1 MiB chunks. None, never an error, when a file
+    cannot be read: the loader then reports it."""
+    h = hashlib.sha256(_TABLE_TAG)
+    h.update(json.dumps(loader, sort_keys=True).encode())
+    try:
+        for path in paths:
+            size = 0
+            with open(path, "rb") as fh:
+                while chunk := fh.read(1 << 20):
+                    h.update(chunk)
+                    size += len(chunk)
+            h.update(b"\n%d\n" % size)
+    except (OSError, ValueError):
+        return None
+    return h.digest()
+
+
+def _stamps(paths: list[str]) -> list[tuple[int, int]] | None:
+    try:
+        return [(s.st_size, s.st_mtime_ns) for s in map(os.stat, paths)]
+    except (OSError, ValueError):
+        return None
+
+
+def load_keyed(load: Callable[[], TabularDataset], loader: dict,
+               paths: list[str]) -> tuple[TabularDataset, bytes | None]:
+    """``load()``'s table and its ``table_digest``. The key is None when a
+    source file's size or modification time changed while it was parsed
+    and hashed, so a table is never keyed by bytes it was not read from."""
+    before = _stamps(paths)
+    table = load()
+    key = table_digest(loader, paths)
+    return table, key if before is not None and _stamps(paths) == before else None
+
+
+def write_table_cache(path: str, key: bytes, table: TabularDataset) -> None:
+    """Write ``table`` (raw: NaN kept) to ``path`` as four consecutive
+    ``np.save`` records: the key, the features, the labels and the names as
+    UTF-8 JSON. It is written under a temporary name in the same directory
+    and then moved into place, so a reader sees the old file or the new."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    names = json.dumps(table.feature_names).encode()
+    try:
+        with open(tmp, "wb") as fh:
+            for record in (np.frombuffer(key, np.uint8), table.features, table.labels,
+                           np.frombuffer(names, np.uint8)):
+                np.save(fh, record, allow_pickle=False)
+        os.replace(tmp, path)
+    except OSError as exc:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise InputError(f"cannot write table cache {path}: {exc}") from exc
+
+
+def read_table_cache(path: str, loader: dict, paths: list[str]) -> TabularDataset | None:
+    """The table ``write_table_cache`` wrote to ``path``, if its key is the
+    ``table_digest`` of ``loader`` and ``paths`` now; else None. A missing,
+    truncated or unreadable file, another key, a record of the wrong dtype
+    or ndim, lengths that disagree and labels outside {0, 1} are all None.
+    The sources are hashed only when the file exists."""
+    try:
+        with open(path, "rb") as fh:
+            key = np.lib.format.read_array(fh, allow_pickle=False)
+            if key.tobytes() != table_digest(loader, paths):
+                return None
+            features, labels, names = (np.lib.format.read_array(fh, allow_pickle=False)
+                                       for _ in range(3))
+            names = json.loads(names.tobytes())
+    except (OSError, ValueError):       # JSONDecodeError is a ValueError
+        return None
+    if (features.dtype != np.float64 or labels.dtype != np.int64
+            or not isinstance(names, list) or not all(isinstance(n, str) for n in names)):
+        return None
+    try:        # TabularDataset checks the ndims, the lengths and the labels
+        return TabularDataset(features, labels, names)
+    except (ShapeError, InputError):
+        return None
 
 
 def missing_census(features: np.ndarray,

@@ -342,18 +342,24 @@ def test_project_refuses_rank_deficient_fit(tmp_path, capsys):
                                  "8 rows in 30 dimensions", "rank-deficient")
 
 
-def test_explain_reads_dataset_once(workspace, trained, monkeypatch):
+def test_explain_reads_dataset_once(workspace, trained, monkeypatch, tmp_path):
+    """Never more than one parse: none with the table cache beside the
+    bundle, one without it."""
+    import shutil
     import claire.data as data_mod
     calls = []
     real = data_mod.load_labeled_csv
     monkeypatch.setattr(data_mod, "load_labeled_csv",
                         lambda *a, **kw: calls.append(a) or real(*a, **kw))
-    rc = main(["explain", "--dataset", workspace["data"], "--config",
-               workspace["config"], "--seed", "5",
-               "--model", os.path.join(trained, "model.json"),
-               "--out", str(workspace["root"] / "explain_once")])
-    assert rc == 0
-    assert len(calls) == 1
+    uncached = tmp_path / "model.json"
+    shutil.copy(os.path.join(trained, "model.json"), uncached)
+    for bundle, want in ((os.path.join(trained, "model.json"), 0), (str(uncached), 1)):
+        calls.clear()
+        rc = main(["explain", "--dataset", workspace["data"], "--config",
+                   workspace["config"], "--seed", "5", "--model", bundle,
+                   "--out", str(workspace["root"] / "explain_once")])
+        assert rc == 0
+        assert len(calls) == want
 
 
 def test_bad_tep_fault_filter_is_input_error(workspace, capsys):
@@ -444,12 +450,17 @@ def test_output_dir_of_wrong_type_fails_before_training(workspace, tmp_path, mon
     assert sorted(os.listdir(tmp_path)) == ["config.json"]
 
 
+# Where a command first reads its data: a loader, or the table cache of a replay.
+DATA_READERS = ("load_secom", "load_tep", "load_labeled_csv", "read_table_cache")
+
+
 @pytest.fixture
 def no_loader(monkeypatch):
-    """Every dataset loader fails the test if it is called."""
+    """Every dataset loader, and the table cache's reader, fails the test if
+    it is called."""
     def never(*args, **kwargs):
         raise AssertionError("a loader ran")
-    for loader in ("load_secom", "load_tep", "load_labeled_csv"):
+    for loader in DATA_READERS:
         monkeypatch.setattr(f"claire.data.{loader}", never)
 
 
@@ -910,7 +921,7 @@ def _exits_two_in_one_line_or_reaches_the_loader(argv):
     err = io.StringIO()
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err), \
             contextlib.redirect_stdout(io.StringIO()):
-        for loader in ("load_secom", "load_tep", "load_labeled_csv"):
+        for loader in DATA_READERS:
             mp.setattr(f"claire.data.{loader}", reached)
         rc = main(argv)
     if "LoaderReached" not in err.getvalue():
@@ -951,3 +962,216 @@ def test_any_dataset_spec_exits_two_in_one_line_or_reaches_the_loader(tmp_path):
             ["train", f"--dataset={spec}", "--out", str(tmp_path / "out")])
 
     check()
+
+
+# ---- output directories ----
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+def test_train_output_dir_that_is_a_file_exits_two_before_any_load(tmp_path, no_loader,
+                                                                   capsys, under):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("x")
+    out = blocker / "sub" if under else blocker
+    rc = main(["train", "--dataset", "csv:absent.csv", "--out", str(out)])
+    _assert_one_line_input_error(rc, capsys.readouterr().err,
+                                 f"cannot create output directory {out}")
+    assert blocker.read_text() == "x"
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+def test_eval_output_dir_that_is_a_file_exits_two(workspace, trained, tmp_path, capsys,
+                                                  under):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("x")
+    out = blocker / "sub" if under else blocker
+    rc = main(["eval", "--model", os.path.join(trained, "model.json"), "--out", str(out)])
+    _assert_one_line_input_error(rc, capsys.readouterr().err,
+                                 f"cannot create output directory {out}")
+
+
+# ---- the table cache: train's parsed table, replayed by eval, explain and project ----
+
+CACHE_CONFIG = {"format": "claire-config/1",
+                "train": {"epochs": 2, "batch_size": 16, "latent_dim": 3, "hidden_widths": [6]},
+                "explain": {"n_background": 10, "n_eval": 2, "beeswarm_dims": [0]}}
+REPLAYS = {"eval_test": ["eval", "--split", "test"], "eval_all": ["eval", "--split", "all"],
+           "eval_train": ["eval", "--split", "train"], "explain": ["explain"],
+           "project": ["project"]}
+
+
+@pytest.fixture(scope="module")
+def cached(tmp_path_factory):
+    """A model trained on a small csv, tep and secom table each: kind ->
+    dataset spec, source files and model directory."""
+    from claire.synthetic import make_process_dataset, make_wide_line_dataset
+    from claire.synthetic import write_line_files, write_process_file
+    root = tmp_path_factory.mktemp("cache")
+    config = root / "config.json"
+    config.write_text(json.dumps(CACHE_CONFIG))
+    csv = _write_dataset(str(root / "table.csv"))
+    tep = str(root / "process.csv")
+    write_process_file(tep, *make_process_dataset(n_normal=120, fault_sizes={1: 40, 2: 40},
+                                                  n_vars=8))
+    features, labels = str(root / "line.data"), str(root / "line_labels.data")
+    write_line_files(features, labels, make_wide_line_dataset(n_rows=150, n_features=200))
+    kinds = {"csv": [csv], "tep": [tep], "secom": [features, labels]}
+    out = {}
+    for kind, files in kinds.items():
+        model = str(root / f"{kind}_model")
+        spec = ":".join([kind, *files])
+        assert main(["train", "--dataset", spec, "--config", str(config), "--seed", "5",
+                     "--out", model]) == 0
+        out[kind] = {"spec": spec, "files": files, "model": model, "config": str(config)}
+    return out
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The loader calls made, one entry per call."""
+    import claire.data as data_mod
+    calls = []
+    for loader in ("load_secom", "load_tep", "load_labeled_csv"):
+        real = getattr(data_mod, loader)
+        monkeypatch.setattr(data_mod, loader,
+                            lambda *a, real=real, **kw: calls.append(a) or real(*a, **kw))
+    return calls
+
+
+def _replay_all(case, model, spec, out, capsys):
+    """Each replay command's exit code and stderr, and every file written
+    under ``out``, by its path there."""
+    got = {}
+    for name, argv in REPLAYS.items():
+        rc = main([*argv, "--model", os.path.join(model, "model.json"), "--dataset", spec,
+                   "--config", case["config"], "--seed", "5",
+                   "--out", os.path.join(out, name)])
+        got[name] = (rc, capsys.readouterr().err)
+    for folder, _, names in os.walk(out):
+        for name in names:
+            path = os.path.join(folder, name)
+            got[os.path.relpath(path, out)] = open(path, "rb").read()
+    return got
+
+
+def _copy_model(case, dst, cache=True):
+    import shutil
+    shutil.copytree(case["model"], dst)
+    if not cache:
+        os.remove(os.path.join(dst, "table_cache.npy"))
+    return str(dst)
+
+
+@pytest.mark.parametrize("kind", ["csv", "tep", "secom"])
+def test_cache_hit_writes_what_a_parse_writes(cached, tmp_path, parses, capsys, kind):
+    case = cached[kind]
+    hit = _replay_all(case, case["model"], case["spec"], str(tmp_path / "hit"), capsys)
+    assert parses == []
+    miss = _replay_all(case, _copy_model(case, tmp_path / "uncached", cache=False),
+                       case["spec"], str(tmp_path / "miss"), capsys)
+    assert len(parses) == len(REPLAYS)
+    assert all(hit[name][0] == 0 for name in REPLAYS)
+    assert len(hit) > 2 * len(REPLAYS) and hit == miss
+
+
+def _edit_token(path, index, edit):
+    """Replace the ``index``-th token of the file's second line by ``edit(token)``."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    sep = "," if "," in lines[1] else " "
+    tokens = lines[1].split(sep)
+    new = edit(tokens[index])
+    assert new != tokens[index]
+    tokens[index] = new
+    lines[1] = sep.join(tokens)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines))
+
+
+@pytest.mark.parametrize("kind,change", [
+    *[(kind, change) for kind in ("csv", "tep", "secom")
+      for change in ("feature_token", "bad_token", "truncated_cache", "foreign_cache",
+                     "deleted_source")],
+    ("secom", "label_token"),
+])
+def test_cache_miss_gives_the_parse_result(cached, tmp_path, parses, capsys, kind, change):
+    import shutil
+    case = cached[kind]
+    data = tmp_path / "data"
+    data.mkdir()
+    files = [shutil.copy(f, data) for f in case["files"]]
+    spec = ":".join([kind, *files])
+    with_cache = _copy_model(case, tmp_path / "cached")
+    cache = os.path.join(with_cache, "table_cache.npy")
+    if change in ("feature_token", "bad_token"):
+        _edit_token(files[0], 1, (lambda t: repr(float(t) + 0.5)) if change == "feature_token"
+                    else (lambda t: t + "x"))
+    elif change == "label_token":
+        _edit_token(files[1], 0, lambda t: str(-int(t)))
+    elif change == "truncated_cache":
+        with open(cache, "r+b") as fh:
+            fh.truncate(os.path.getsize(cache) - 1)
+    elif change == "foreign_cache":
+        other = cached["tep" if kind != "tep" else "csv"]["model"]
+        shutil.copy(os.path.join(other, "table_cache.npy"), cache)
+    elif change == "deleted_source":
+        os.remove(files[-1])
+    got = _replay_all(case, with_cache, spec, str(tmp_path / "got"), capsys)
+    assert len(parses) == len(REPLAYS)
+    want = _replay_all(case, _copy_model(case, tmp_path / "uncached", cache=False), spec,
+                       str(tmp_path / "want"), capsys)
+    assert got == want
+    codes = {got[name][0] for name in REPLAYS}
+    assert codes == ({2} if change in ("bad_token", "deleted_source") else {0})
+
+
+def test_cache_hits_a_byte_identical_copy_elsewhere(cached, tmp_path, parses, capsys):
+    import shutil
+    case = cached["secom"]
+    copies = [shutil.copy(f, tmp_path) for f in case["files"]]
+    moved = _replay_all(case, case["model"], ":".join(["secom", *copies]),
+                        str(tmp_path / "moved"), capsys)
+    assert parses == []
+    assert moved == _replay_all(case, case["model"], case["spec"], str(tmp_path / "here"),
+                                capsys)
+
+
+@pytest.mark.parametrize("kind", ["csv", "tep", "secom"])
+def test_retraining_writes_the_same_cache_and_no_temporary_file(cached, tmp_path, kind):
+    case = cached[kind]
+    out = str(tmp_path / "again")
+    assert main(["train", "--dataset", case["spec"], "--config", case["config"],
+                 "--seed", "5", "--out", out]) == 0
+    for name in ("model.json", "table_cache.npy"):
+        assert (open(os.path.join(out, name), "rb").read()
+                == open(os.path.join(case["model"], name), "rb").read()), name
+    assert not [name for name in os.listdir(out) if name.endswith(".tmp")]
+
+
+def test_train_writes_no_cache_from_a_source_that_changed_while_read(workspace, tmp_path,
+                                                                     monkeypatch):
+    import shutil
+    import claire.data as data_mod
+    real = data_mod.load_labeled_csv
+    path = shutil.copy(workspace["data"].split(":")[1], tmp_path)
+
+    def touching(*args, **kwargs):
+        got = real(*args, **kwargs)
+        stat = os.stat(path)
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))     # same time: kept
+        return got
+    monkeypatch.setattr(data_mod, "load_labeled_csv", touching)
+    out = tmp_path / "out"
+    argv = ["train", "--dataset", f"csv:{path}", "--config", workspace["config"],
+            "--seed", "5", "--epochs", "1"]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert (out / "table_cache.npy").exists()
+
+    def moving(*args, **kwargs):
+        got = real(*args, **kwargs)
+        stat = os.stat(path)
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 1))
+        return got
+    monkeypatch.setattr(data_mod, "load_labeled_csv", moving)
+    assert main([*argv, "--out", str(tmp_path / "moved")]) == 0
+    assert not (tmp_path / "moved" / "table_cache.npy").exists()
+    assert (tmp_path / "moved" / "model.json").exists()

@@ -1,11 +1,12 @@
-"""Loaders and the fixed preprocessing pipeline."""
+"""Loaders, the table cache and the fixed preprocessing pipeline."""
 import numpy as np
 import pytest
 
 from claire.data import (TabularDataset, apply_saved_preprocessing,
-                         apply_scaler, fit_scaler, handle_missing, load_labeled_csv,
-                         load_secom, load_tep, oversample_minority, run_pipeline,
-                         stratified_split)
+                         apply_scaler, fit_scaler, handle_missing, load_keyed,
+                         load_labeled_csv, load_secom, load_tep, oversample_minority,
+                         read_table_cache, run_pipeline, stratified_split, table_digest,
+                         write_table_cache)
 from claire.errors import DegenerateDataError, InputError, ShapeError, StateError
 from claire.numerics import substream_seed
 
@@ -288,3 +289,145 @@ def test_apply_saved_preprocessing_width_check():
     one_row = apply_saved_preprocessing(ds.features[0], prep.original_names,
                                         prep.kept_names, prep.medians, prep.scaler)
     assert one_row.shape == (1, len(prep.kept_names))
+
+
+# ---- the table cache ----
+
+CSV_LOADER = {"kind": "csv", "label_column": "label"}
+
+
+def _csv_table(tmp_path, name="d.csv", text="a,label,b\n1.5,1,NaN\n-0,0,4e-3\n"):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def _same_table(got, want):
+    assert got.features.tobytes() == want.features.tobytes()
+    assert got.labels.tobytes() == want.labels.tobytes()
+    assert got.feature_names == want.feature_names
+
+
+def test_table_cache_round_trip_keeps_every_bit(tmp_path):
+    names = ["a", "b\x00", "ü,\"c\"", ""]      # a NUL, quotes, non-ASCII, empty
+    features = np.array([[1.5, np.nan, -0.0, 1e-310], [np.inf, 2.0, 3.0, 4.0]])
+    table = TabularDataset(features, np.array([1, 0]), names)
+    source = _csv_table(tmp_path)
+    key = table_digest(CSV_LOADER, [source])
+    cache = str(tmp_path / "cache.npy")
+    write_table_cache(cache, key, table)
+    _same_table(read_table_cache(cache, CSV_LOADER, [source]), table)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.npy", "d.csv"]
+
+
+def test_table_digest_keys_bytes_and_options_not_paths(tmp_path):
+    a = _csv_table(tmp_path, "a.csv")
+    (tmp_path / "sub").mkdir()
+    b = _csv_table(tmp_path / "sub", "b.csv")
+    c = _csv_table(tmp_path, "c.csv", "a,label,b\n1.5,1,NaN\n-0,0,4e-4\n")
+    key = table_digest(CSV_LOADER, [a])
+    assert len(key) == 32 and table_digest(CSV_LOADER, [b]) == key
+    assert table_digest(CSV_LOADER, [c]) != key
+    assert table_digest({**CSV_LOADER, "label_column": "b"}, [a]) != key
+    assert table_digest({"kind": "tep", "fault_classes": None}, [a]) != key
+    # where one file ends and the next begins is part of the key
+    first, second = tmp_path / "x1", tmp_path / "x2"
+    first.write_bytes(b"12")
+    second.write_bytes(b"3")
+    moved = table_digest({"kind": "secom"}, [str(first), str(second)])
+    first.write_bytes(b"1")
+    second.write_bytes(b"23")
+    assert table_digest({"kind": "secom"}, [str(first), str(second)]) != moved
+
+
+@pytest.mark.parametrize("path", ["absent.csv", "\x00", ".", ""])
+def test_table_digest_of_an_unreadable_source_is_none(tmp_path, monkeypatch, path):
+    monkeypatch.chdir(tmp_path)
+    assert table_digest(CSV_LOADER, [_csv_table(tmp_path), path]) is None
+
+
+def test_load_keyed_keys_only_a_table_whose_sources_held_still(tmp_path):
+    import os
+    path = _csv_table(tmp_path)
+    table, key = load_keyed(lambda: load_labeled_csv(path), CSV_LOADER, [path])
+    _same_table(table, load_labeled_csv(path))
+    assert key == table_digest(CSV_LOADER, [path])
+
+    def touched():
+        got = load_labeled_csv(path)
+        stat = os.stat(path)
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
+        return got
+    assert load_keyed(touched, CSV_LOADER, [path])[1] is None
+    with pytest.raises(InputError):
+        load_keyed(lambda: load_labeled_csv("absent.csv"), CSV_LOADER, ["absent.csv"])
+
+
+def _write_records(path, *records):
+    with open(path, "wb") as fh:
+        for record in records:
+            np.save(fh, record)
+
+
+@pytest.mark.parametrize("case", ["absent", "empty", "other_key", "other_options",
+                                  "key_dtype", "features_dtype", "features_ndim",
+                                  "labels_dtype", "labels_ndim", "row_counts", "name_count",
+                                  "labels_range", "names_not_json", "names_not_strings",
+                                  "names_dtype", "pickled", "no_names"])
+def test_table_cache_misses(tmp_path, case):
+    source = _csv_table(tmp_path)
+    key = np.frombuffer(table_digest(CSV_LOADER, [source]), np.uint8)
+    x, y = np.zeros((2, 3)), np.array([0, 1])
+    names = np.frombuffer(b'["a", "b", "c"]', np.uint8)
+    cache = str(tmp_path / "cache.npy")
+    loader = CSV_LOADER
+    records = {
+        "other_key": (key[::-1], x, y, names),
+        "key_dtype": (key.astype(np.int64), x, y, names),
+        "features_dtype": (key, x.astype(np.float32), y, names),
+        "features_ndim": (key, x.ravel(), y, names),
+        "labels_dtype": (key, x, y.astype(np.int32), names),
+        "labels_ndim": (key, x, y[:, None], names),
+        "row_counts": (key, x, np.array([0, 1, 1]), names),
+        "name_count": (key, x, y, np.frombuffer(b'["a", "b"]', np.uint8)),
+        "labels_range": (key, x, np.array([0, 2]), names),
+        "names_not_json": (key, x, y, np.frombuffer(b'["a", "b", "c"', np.uint8)),
+        "names_not_strings": (key, x, y, np.frombuffer(b'["a", "b", 3]', np.uint8)),
+        "names_dtype": (key, x, y, np.array(["a", "b", "c"])),
+        "pickled": (key, x, y, np.array(["a", "b", "c"], dtype=object)),
+        "no_names": (key, x, y),
+    }
+    if case == "empty":
+        open(cache, "wb").close()
+    elif case == "other_options":
+        _write_records(cache, key, x, y, names)
+        loader = {**CSV_LOADER, "label_column": "b"}
+    elif case in records:
+        _write_records(cache, *records[case])
+    assert read_table_cache(cache, loader, [source]) is None
+    if case == "other_key":          # the control: the right key reads
+        _write_records(cache, key, x, y, names)
+        assert read_table_cache(cache, CSV_LOADER, [source]) is not None
+
+
+def test_truncated_table_cache_misses_at_every_length(tmp_path):
+    source = _csv_table(tmp_path)
+    table = load_labeled_csv(source)
+    cache = tmp_path / "cache.npy"
+    write_table_cache(str(cache), table_digest(CSV_LOADER, [source]), table)
+    whole = cache.read_bytes()
+    _same_table(read_table_cache(str(cache), CSV_LOADER, [source]), table)
+    for size in range(len(whole)):
+        cache.write_bytes(whole[:size])
+        assert read_table_cache(str(cache), CSV_LOADER, [source]) is None, size
+
+
+def test_table_cache_write_failure_is_input_error_and_leaves_no_file(tmp_path):
+    table = load_labeled_csv(_csv_table(tmp_path))
+    with pytest.raises(InputError, match="cannot write table cache"):
+        write_table_cache(str(tmp_path / "absent" / "cache.npy"), b"k" * 32, table)
+    (tmp_path / "dir.npy").mkdir()
+    with pytest.raises(InputError, match="cannot write table cache"):
+        write_table_cache(str(tmp_path / "dir.npy"), b"k" * 32, table)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "dir.npy"]
+    assert list((tmp_path / "dir.npy").iterdir()) == []

@@ -169,6 +169,37 @@ def test_clean_files_never_reach_the_token_parser(tmp_path):
         assert load_labeled_csv(str(csv)).labels.tolist() == [1, 0]
 
 
+BOM_CASES = {   # each loader's files; "{na}" is a value, or NA to force the token parser
+    "secom": ("1.5 {na} -0\n4e-3 inf 6\n", "-1 x\n1 x\n"),
+    "tep": ("a,b,fault\n0.1,{na},0\n0.3,0.4,2\n",),
+    "tep_headerless": ("0.1 {na} 0\n0.3 0.4 2\n",),
+    "csv_label_first": ("label,a,b\n1,1.0,{na}\n0,3.0,4.0\n",),
+    "csv_label_inside": ("a,label,b\n1.0,1,{na}\n3.0,0,4.0\n",),
+}
+
+
+@pytest.mark.parametrize("na", ["2.5", "NA"], ids=["c_parser", "token_parser"])
+@pytest.mark.parametrize("case", list(BOM_CASES))
+def test_byte_order_mark_reads_as_the_plain_file(tmp_path, case, na):
+    load = {"secom": load_secom, "tep": load_tep, "tep_headerless": load_tep}.get(
+        case, load_labeled_csv)
+    texts = [t.format(na=na) for t in BOM_CASES[case]]
+    plain, bom = [], []
+    for i, text in enumerate(texts):
+        for paths, prefix in ((plain, b""), (bom, b"\xef\xbb\xbf")):
+            path = tmp_path / f"{prefix.hex()}{i}.txt"
+            path.write_bytes(prefix + text.encode())
+            paths.append(str(path))
+    token_rows = mock.Mock(wraps=data_mod._token_rows)
+    with mock.patch.object(data_mod, "_token_rows", token_rows):
+        want, got = load(*plain), load(*bom)
+    assert token_rows.call_count == (2 if na == "NA" else 0)
+    assert got.features.tobytes() == want.features.tobytes()
+    assert got.labels.tolist() == want.labels.tolist()
+    assert got.feature_names == want.feature_names
+    assert np.isnan(got.features).any() == (na == "NA")
+
+
 def test_blank_file_falls_back_without_a_numpy_warning(tmp_path, recwarn):
     features, labels = tmp_path / "f.txt", tmp_path / "l.txt"
     features.write_text("\n  \n\n")
