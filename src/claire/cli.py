@@ -1,11 +1,12 @@
 """Command-line interface.
 
 Subcommands: preprocess, train, eval, explain, project. Every setting is
-one entry of SETTINGS (DATASET_KINDS for the dataset's fields): the
-defaults, then an optional JSON config ("claire-config/1"), then the flags,
-all checked before any data is read. Outputs are UTF-8 CSV/JSON files in
-the output directory, plus train's binary table cache (TABLE_CACHE), with
-no timestamps, so a re-run reproduces them.
+one entry of schema.SETTINGS (DATASET_KINDS for the dataset's fields),
+read by the schema's codecs: the defaults, then an optional JSON config
+("claire-config/1"), then the flags, all checked before any data or model
+bundle is read, and the output directory right after them. Outputs are
+UTF-8 CSV/JSON files in the output directory, plus train's binary table
+cache (TABLE_CACHE), with no timestamps, so a re-run reproduces them.
 
 Exit codes: 0 success, 2 input or validation problem, 3 numeric
 divergence during training, 4 internal invariant breach.
@@ -14,12 +15,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
-import math
 import os
 import sys
 import traceback
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,176 +31,24 @@ from .explain import (class_conditional_importance, coalition_count, dependence_
 from .model_io import REPORT, bundle_dict, load_bundle, write_json
 from .network import LossWeights
 from .numerics import substream_seed
-from .svm import KERNELS, KernelSpec, predict_labels
-from .training import (MODES, SvmConfig, TrainConfig, TrainedModel, model_codes,
-                       train_pipeline)
+from .schema import CONFIG, CONFIG_FORMAT, DATASET_KINDS, FILE, PREPROCESS, SETTINGS, read_document
+from .svm import KernelSpec, predict_labels
+from .training import MODES, SvmConfig, TrainConfig, TrainedModel, model_codes, train_pipeline
 
-CONFIG_FORMAT = "claire-config/1"
 TABLE_CACHE = "table_cache.npy"     # train's parsed table, beside model.json
 
 INPUT_ERRORS = (InputError, ShapeError, StateError, DegenerateDataError, ConditioningError)
 
 
-class Rule(NamedTuple):
-    """A config key's default, its type and the range ``test`` its value
-    (or each value of a list) must pass, with ``text`` saying both in words.
-    ``kind`` is int, float, str, list (of ints) or (str, int) for either."""
-    default: object
-    kind: object
-    text: str
-    test: Callable = lambda value: True
-    null: bool = False
-
-    def check(self, name: str, value):
-        """The value as the pipeline uses it: an int or a float as its kind."""
-        if value is None and self.null:
-            return None
-        try:
-            typed = _cast(self.kind, value)
-            if all(map(self.test, typed)) if self.kind is list else self.test(typed):
-                return typed
-        except (TypeError, ValueError, OverflowError):
-            pass
-        text = self.text + (" or null" if self.null else "")
-        raise InputError(f"config key {name!r} must be {text}, got {value!r}")
-
-
-def _cast(kind, value):
-    """``value`` as ``kind``, or ValueError; a boolean is not a number."""
-    if isinstance(kind, tuple):
-        kind = str if isinstance(value, str) else int
-    if kind is list and isinstance(value, list):
-        return [_cast(int, v) for v in value]
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if (kind is str and isinstance(value, str) or kind is int and number and int(value) == value
-            or kind is float and number and math.isfinite(value)):
-        return kind(value)
-    raise ValueError
-
-
-FILE = Rule(None, str, "a file name")    # a dataset field that must be given
-COLUMN = Rule(None, (str, int), "a column name or an integer >= 0",
-              lambda c: isinstance(c, str) or c >= 0, null=True)
-
-# Every config key. train.epochs and train.latent_dim default to 30 and 32
-# on a tep dataset, else to 40 and 64 (build_train_config).
-SETTINGS = {
-    "seed": Rule(42, int, "an integer"),
-    "output_dir": Rule("claire_out", str, "a string"),
-    "preprocess.drop_threshold": Rule(0.30, float, "a number in [0, 1]", lambda x: 0 <= x <= 1),
-    "preprocess.test_fraction": Rule(0.20, float, "a number in (0, 1)", lambda x: 0 < x < 1),
-    "train.mode": Rule("CLAIRE", str, "one of " + ", ".join(MODES), lambda m: m in MODES),
-    "train.epochs": Rule(None, int, "an integer >= 1", lambda n: n >= 1, null=True),
-    "train.batch_size": Rule(64, int, "an integer >= 2", lambda n: n >= 2),
-    "train.learning_rate": Rule(1e-3, float, "a finite number > 0", lambda x: x > 0),
-    "train.latent_dim": Rule(None, int, "an integer >= 1", lambda n: n >= 1, null=True),
-    "train.hidden_widths": Rule([128, 64], list, "a list of integers >= 1", lambda n: n >= 1),
-    "train.latent_weight": Rule(0.1, float, "a finite number >= 0", lambda x: x >= 0),
-    "train.classifier_weight": Rule(1.0, float, "a finite number >= 0", lambda x: x >= 0),
-    "train.entropy_weight": Rule(0.01, float, "a finite number >= 0", lambda x: x >= 0),
-    "train.corruption_std": Rule(0.1, float, "a finite number >= 0", lambda x: x >= 0),
-    "train.dropout_rate": Rule(0.3, float, "a number in [0, 1)", lambda x: 0 <= x < 1),
-    "train.bn_momentum": Rule(0.9, float, "a number in [0, 1]", lambda x: 0 <= x <= 1),
-    "train.bn_epsilon": Rule(1e-5, float, "a finite number > 0", lambda x: x > 0),
-    "svm.kernel": Rule("rbf", str, "one of " + ", ".join(KERNELS), lambda k: k in KERNELS),
-    "svm.gamma": Rule(None, float, "a finite number", null=True),
-    "svm.degree": Rule(3, int, "an integer"),
-    "svm.coef0": Rule(None, float, "a finite number", null=True),
-    "svm.c": Rule(1.0, float, "a finite number > 0", lambda x: x > 0),
-    "svm.tol": Rule(1e-3, float, "a finite number > 0", lambda x: x > 0),
-    "svm.max_passes": Rule(100, int, "an integer >= 1", lambda n: n >= 1),
-    "explain.n_background": Rule(100, int, "an integer >= 1", lambda n: n >= 1),
-    "explain.n_eval": Rule(100, int, "an integer >= 1", lambda n: n >= 1),
-    "explain.n_coalitions": Rule(None, int, "an integer >= 1", lambda n: n >= 1, null=True),
-    "explain.beeswarm_dims": Rule([0, 5, 10, 15], list, "a list of integers >= 0",
-                                  lambda n: n >= 0),
-    "explain.dependence_feature": COLUMN,
-    "explain.dependence_color": COLUMN,
-    "explain.output": Rule("mean", (str, int), '"mean" or an integer >= 0',
-                           lambda o: o == "mean" if isinstance(o, str) else o >= 0),
-}
-# The fields of the dataset key, besides its kind, for each dataset kind.
-DATASET_KINDS = {
-    "secom": {"features": FILE, "labels": FILE},
-    "tep": {"path": FILE, "fault_classes": Rule(None, list, "a list of integers >= 1",
-                                                lambda n: n >= 1, null=True)},
-    "csv": {"path": FILE, "label_column": Rule("label", str, "a string")},
-}
-
-
-def _slot(cfg: dict, name: str) -> tuple[dict, str]:
-    """The dict that holds a dotted config key, and the key's last part."""
-    section, _, key = name.rpartition(".")
-    return (cfg.setdefault(section, {}) if section else cfg), key
-
-
-def checked_dataset(ds) -> dict:
-    """A dataset block, from a config or a model bundle, with its values
-    checked and its keys as given (a field left out stays out)."""
-    if not isinstance(ds, dict):
-        raise InputError(f"config key 'dataset' must be a JSON object, got {ds!r}")
-    kind = ds.get("kind")
-    if not isinstance(kind, str) or kind not in DATASET_KINDS:
-        raise InputError(f"unknown dataset kind {kind!r}; expected secom, tep or csv")
-    fields = DATASET_KINDS[kind]
-    for key, rule in fields.items():
-        if rule is FILE and key not in ds:
-            raise InputError(f"dataset of kind {kind!r} needs the key {key!r}")
-    out = {}
-    for key, value in ds.items():
-        if key != "kind" and key not in fields:
-            raise InputError(f"unknown config key 'dataset.{key}' for dataset kind {kind!r}")
-        out[key] = kind if key == "kind" else fields[key].check(f"dataset.{key}", value)
-    return out
-
-
-def read_config(path: str | None) -> dict:
-    """The JSON object of a config file, not yet checked; {} without a file."""
-    if path is None:
-        return {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise InputError(f"config file {path} must hold a JSON object")
-    if doc.get("format") != CONFIG_FORMAT:
-        raise InputError(
-            f"config file {path} has format {doc.get('format')!r}, expected {CONFIG_FORMAT!r}")
-    return doc
-
-
 def resolve_config(args) -> dict:
-    """The table's defaults, then the config file, then the flags, every
-    value checked once before any other file is read."""
-    cfg = {"format": CONFIG_FORMAT, "dataset": None}
-    for name, rule in SETTINGS.items():
-        box, key = _slot(cfg, name)
-        box[key] = rule.default             # replaced by a checked copy below
-    for key, value in read_config(args.config).items():
-        if key not in cfg:
-            raise InputError(f"unknown config key {key!r}")
-        if not isinstance(cfg[key], dict):
-            cfg[key] = value
-        elif not isinstance(value, dict):
-            raise InputError(f"config key {key!r} must be a JSON object, got {value!r}")
-        else:
-            for sub in value:
-                if sub not in cfg[key]:
-                    raise InputError(f"unknown config key {key + '.' + sub!r}")
-            cfg[key].update(value)
+    """The defaults, then the config file, then the flags placed at their
+    keys' dotted paths, read and checked at once before any other file."""
+    flags = {name: getattr(args, name) for name in SETTINGS
+             if getattr(args, name, None) is not None}    # a flag's dest is the key it sets
     if args.dataset is not None:
-        cfg["dataset"] = parse_dataset_spec(args.dataset)
-    for name, rule in SETTINGS.items():
-        box, key = _slot(cfg, name)
-        flag = getattr(args, name, None)        # a flag's dest is the key it sets
-        box[key] = rule.check(name, box[key] if flag is None else flag)
-    if cfg["dataset"] is not None:
-        cfg["dataset"] = checked_dataset(cfg["dataset"])
-    return cfg
+        flags["dataset"] = parse_dataset_spec(args.dataset)
+    return read_document(CONFIG, args.config, "config file", CONFIG_FORMAT, flags,
+                         "config key {!r}".format)
 
 
 def parse_dataset_spec(spec: str) -> dict:
@@ -241,20 +87,17 @@ def parse_dataset_spec(spec: str) -> dict:
     raise InputError(f"unknown dataset kind {kind!r}; expected secom, tep or csv")
 
 
-def _dataset(ds_cfg: dict | None) -> dict:
-    """A dataset block, checked and completed with its kind's defaults."""
-    if not ds_cfg:
+def _dataset(ds: dict | None) -> dict:
+    if ds is None:
         raise InputError("no dataset configured; pass --dataset or set it in the config")
-    given = checked_dataset(ds_cfg)
-    return {key: rule.default for key, rule in DATASET_KINDS[given["kind"]].items()} | given
+    return ds
 
 
 def _source(ds: dict) -> tuple[dict, list[str]]:
     """A completed dataset block's table-cache key inputs: the loader's kind
     and options (every field but the files), and its files."""
-    fields = DATASET_KINDS[ds["kind"]]
-    return ({key: value for key, value in ds.items() if fields.get(key) is not FILE},
-            [ds[key] for key, rule in fields.items() if rule is FILE])
+    files = [key for key, (codec, *_) in DATASET_KINDS[ds["kind"]].items() if codec is FILE]
+    return {key: value for key, value in ds.items() if key not in files}, [ds[k] for k in files]
 
 
 def load_dataset(ds: dict) -> TabularDataset:
@@ -356,7 +199,6 @@ def cmd_preprocess(cfg: dict, args) -> int:
 def cmd_train(cfg: dict, args) -> int:
     train_cfg = build_train_config(cfg)
     svm_cfg = build_svm_config(cfg)
-    _check_out_dir(cfg)
     prepared = _prepare(cfg, _train_table(cfg))
     model = train_pipeline(prepared, train_cfg, svm_cfg)
     # preprocessing knobs ride along so later commands can replay the split
@@ -381,18 +223,9 @@ def cmd_train(cfg: dict, args) -> int:
 
 
 def _load_model(cfg: dict, args) -> TrainedModel:
-    """The model bundle, its preprocess block checked by the SETTINGS rules
-    and completed with their defaults before any dataset is read."""
+    """The model bundle; a null preprocess block replays the defaults."""
     model = load_bundle(_bundle_path(cfg, args))
-    given = dict(model.preprocess or {})
-    model.preprocess = {}
-    for name, rule in SETTINGS.items():
-        section, _, key = name.rpartition(".")
-        if section == "preprocess":
-            model.preprocess[key] = rule.check(name, given.pop(key, rule.default))
-    if given:
-        raise InputError(f"unknown config key 'preprocess.{next(iter(given))}' "
-                         f"in the model bundle")
+    model.preprocess = model.preprocess or PREPROCESS.load({})
     return model
 
 
@@ -592,6 +425,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
+        _check_out_dir(cfg)
         # looked up by name at call time, so a wrapped cmd_* is the one that runs
         return globals()[f"cmd_{args.command}"](cfg, args)
     except (*INPUT_ERRORS, NumericError) as exc:

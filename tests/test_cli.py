@@ -465,16 +465,16 @@ def no_loader(monkeypatch):
 
 
 @pytest.mark.parametrize("dataset,key", [
-    ({"kind": "secom", "features": "x.data"}, "'labels'"),
-    ({"kind": "tep", "fault_classes": [1]}, "'path'"),
-    ({"kind": "csv"}, "'path'"),
+    ({"kind": "secom", "features": "x.data"}, "'dataset.labels' is missing"),
+    ({"kind": "tep", "fault_classes": [1]}, "'dataset.path' is missing"),
+    ({"kind": "csv"}, "'dataset.path' is missing"),
 ])
 def test_dataset_missing_its_file_key_is_input_error(tmp_path, no_loader, capsys,
                                                      dataset, key):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"format": "claire-config/1", "dataset": dataset}))
     rc = main(["train", "--config", str(config), "--out", str(tmp_path / "out")])
-    _assert_one_line_input_error(rc, capsys.readouterr().err, f"'{dataset['kind']}'", key)
+    _assert_one_line_input_error(rc, capsys.readouterr().err, key)
     assert not (tmp_path / "out").exists()
 
 
@@ -705,20 +705,33 @@ def test_integer_key_refuses_other_values(tmp_path, no_loader, capsys, key, valu
     _assert_one_line_input_error(rc, capsys.readouterr().err, repr(key), repr(value))
 
 
-def test_integral_float_is_taken_as_an_integer(tmp_path, monkeypatch):
-    seen = []
+@pytest.mark.parametrize("document", ["config", "bundle"])
+def test_integral_float_is_taken_as_an_integer(trained, tmp_path, monkeypatch, document):
+    if document == "bundle":
+        from claire.model_io import bundle_dict, load_bundle
+        text = open(os.path.join(trained, "model.json"), encoding="utf-8").read()
+        doc = json.loads(text)
+        doc["train_config"].update(epochs=6.0, hidden_widths=[8.0])
+        bundle = tmp_path / "model.json"
+        bundle.write_text(json.dumps(doc))
+        model = load_bundle(str(bundle))
+        assert bundle_dict(model) == json.loads(text)        # written back as integers
+        got, want = model.train_config, (6, [8])
+    else:
+        seen = []
 
-    def stop(prepared, train_cfg, svm_cfg):
-        seen.append(train_cfg)
-        raise InputError("stopped before training")
+        def stop(prepared, train_cfg, svm_cfg):
+            seen.append(train_cfg)
+            raise InputError("stopped before training")
 
-    monkeypatch.setattr("claire.cli.train_pipeline", stop)
-    data = _write_dataset(str(tmp_path / "line.csv"))
-    doc = _config_doc({"train.epochs": 2.0, "train.hidden_widths": [8.0]},
-                      {"kind": "csv", "path": data})
-    assert _train_with(tmp_path, doc) == 2
-    assert type(seen[0].epochs) is int and seen[0].epochs == 2
-    assert [type(w) for w in seen[0].hidden_widths] == [int] and seen[0].hidden_widths == [8]
+        monkeypatch.setattr("claire.cli.train_pipeline", stop)
+        data = _write_dataset(str(tmp_path / "line.csv"))
+        doc = _config_doc({"train.epochs": 2.0, "train.hidden_widths": [8.0]},
+                          {"kind": "csv", "path": data})
+        assert _train_with(tmp_path, doc) == 2
+        got, want = seen[0], (2, [8])
+    assert type(got.epochs) is int and got.epochs == want[0]
+    assert [type(w) for w in got.hidden_widths] == [int] and got.hidden_widths == want[1]
 
 
 @pytest.mark.parametrize("doc,key", [
@@ -744,8 +757,21 @@ def test_bundle_fault_classes_not_a_list_is_input_error(trained, tmp_path, no_lo
     bundle = tmp_path / "model.json"
     bundle.write_text(json.dumps(doc))
     rc = main(["eval", "--model", str(bundle), "--out", str(tmp_path / "out")])
-    _assert_one_line_input_error(rc, capsys.readouterr().err, "'dataset.fault_classes'",
+    _assert_one_line_input_error(rc, capsys.readouterr().err, ": dataset.fault_classes must be",
                                  repr(fault_classes))
+
+
+@pytest.mark.parametrize("value", ["1" * 5000, "[" * 100_000 + "]" * 100_000],
+                         ids=["5000_digits", "deep_array"])
+@pytest.mark.parametrize("document", ["config", "bundle"])
+def test_unreadable_json_value_exits_two_in_one_line(tmp_path, no_loader, capsys, document,
+                                                     value):
+    path = tmp_path / f"{document}.json"
+    path.write_text(f'{{"format": "claire-{"config" if document == "config" else "model"}/1", '
+                    f'"seed": {value}}}')
+    rc = main(["train", "--config", str(path)] if document == "config"
+              else ["eval", "--model", str(path)])
+    _assert_one_line_input_error(rc, capsys.readouterr().err, str(path), "not valid JSON")
 
 
 def _with_preprocess(trained, tmp_path, preprocess):
@@ -758,10 +784,10 @@ def _with_preprocess(trained, tmp_path, preprocess):
 
 @pytest.mark.parametrize("command", ["eval", "explain", "project"])
 @pytest.mark.parametrize("preprocess,key", [
-    ({"drop_threshold": 0.3, "test_fraction": "x"}, "'preprocess.test_fraction'"),
-    ({"drop_threshold": True, "test_fraction": 0.2}, "'preprocess.drop_threshold'"),
-    ({"drop_threshold": 0.3, "test_fraction": 1.5}, "'preprocess.test_fraction'"),
-    ({"drop_threshold": 0.3, "test_fraction": 0.2, "bogus": 1}, "'preprocess.bogus'"),
+    ({"drop_threshold": 0.3, "test_fraction": "x"}, ": preprocess.test_fraction must be"),
+    ({"drop_threshold": True, "test_fraction": 0.2}, ": preprocess.drop_threshold must be"),
+    ({"drop_threshold": 0.3, "test_fraction": 1.5}, ": preprocess.test_fraction must be"),
+    ({"drop_threshold": 0.3, "test_fraction": 0.2, "bogus": 1}, ": preprocess.bogus is unknown"),
 ])
 def test_bad_bundle_preprocess_block_fails_before_the_dataset_is_read(
         workspace, trained, tmp_path, no_loader, capsys, command, preprocess, key):
@@ -793,8 +819,15 @@ def test_null_bundle_preprocess_block_takes_the_defaults(workspace, trained, tmp
     (lambda doc: doc["network"]["encoder"][0].update(bias=[0.0]), ": network.encoder[0].bias "),
     (lambda doc: doc["network"]["encoder"][0]["batch_norm"].update(gamma=[1.0]),
      ": network.encoder[0].batch_norm.gamma "),
+    (lambda doc: doc.update(bogus=1), ": bogus is unknown"),
+    (lambda doc: doc["svm"].update(bogus=1), ": svm.bogus is unknown"),
+    (lambda doc: doc["svm"]["kernel"].update(bogus=1), ": svm.kernel.bogus is unknown"),
+    (lambda doc: doc["network"]["encoder"][0].update(bogus=1),
+     ": network.encoder[0].bogus is unknown"),
+    (lambda doc: doc.update(epoch_log=doc.pop("epoch_logs")), ": epoch_log is unknown"),
 ], ids=["svm.bias", "svm.dual_coef", "svm.kernel.gamma", "encoder.slope", "encoder.bias",
-        "encoder.gamma"])
+        "encoder.gamma", "unknown", "svm.unknown", "svm.kernel.unknown", "encoder.unknown",
+        "epoch_log"])
 def test_bad_bundle_value_exits_two_naming_its_section(trained, tmp_path, no_loader, capsys,
                                                        edit, key):
     doc = json.load(open(os.path.join(trained, "model.json")))
@@ -826,13 +859,13 @@ def _path_text(path):
 
 
 def test_every_bad_bundle_leaf_exits_two_naming_its_path(trained, tmp_path, no_loader, capsys):
-    """Each scalar of the bundle outside format, dataset and preprocess,
-    replaced by each of these values unlike its own JSON type, exits 2 in
-    one line naming its path. NaN and Infinity are unlike every number.
-    true among the numbers of an array reads as 1.0, so it is left out."""
+    """Each scalar of the bundle but its format tag, replaced by each of
+    these values unlike its own JSON type, exits 2 in one line naming its
+    path. NaN and Infinity are unlike every number. true among the numbers
+    of an array reads as 1.0, so it is left out."""
     text = open(os.path.join(trained, "model.json"), encoding="utf-8").read()
     doc = json.loads(text)
-    kept = {k: v for k, v in doc.items() if k not in ("format", "dataset", "preprocess")}
+    kept = {k: v for k, v in doc.items() if k != "format"}
     bundle = tmp_path / "model.json"
     edits, loaded = 0, []
     for path, leaf in _scalar_leaves(kept):
@@ -857,20 +890,76 @@ def test_every_bad_bundle_leaf_exits_two_naming_its_path(trained, tmp_path, no_l
     assert loaded == []
 
 
+def _subtrees(node, path=()):
+    """The path of ``node`` and of each value under it, through the first
+    two entries of each list."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node[:2]):
+            yield from _subtrees(value, (*path, key))
+
+
+def test_any_structural_bundle_edit_exits_zero_or_two_in_one_line(trained, tmp_path):
+    """A key inserted into any object of the bundle, or any subtree (the
+    whole document too) replaced by any JSON value, either evaluates with
+    exit 0 or exits 2 in one line, with no traceback. The one exit 4 is the
+    replay guard's one line: a preprocess.drop_threshold that no longer
+    drops the recorded columns reads as a dataset other than the one
+    trained on, as in test_mismatched_replay_dataset_exits_four."""
+    import contextlib
+    import io
+    from hypothesis import example, given, settings
+    from hypothesis import strategies as st
+    text = open(os.path.join(trained, "model.json"), encoding="utf-8").read()
+    bundle = tmp_path / "model.json"
+
+    @settings(max_examples=200, deadline=None)
+    @given(path=st.sampled_from(list(_subtrees(json.loads(text)))),
+           key=st.none() | st.text(max_size=4) | st.just("bogus"), value=_json_values())
+    @example(path=("preprocess", "drop_threshold"), key=None, value=0.9)
+    @example(path=("preprocessing", "original_feature_names"), key=None,
+             value=["a", "b", "c", "d", "e"])
+    @example(path=("network", "encoder"), key=None, value=[])
+    def check(path, key, value):
+        doc = json.loads(text)
+        parent = None
+        node = doc
+        for part in path:
+            parent, node = node, node[part]
+        if key is not None and isinstance(node, dict):
+            node[key] = value
+        elif parent is not None:
+            parent[path[-1]] = value
+        else:
+            doc = value
+        bundle.write_text(json.dumps(doc), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(["eval", "--model", str(bundle), "--out", str(tmp_path / "out")])
+        if rc == 4:
+            assert "different column set" in err.getvalue()
+            assert len(err.getvalue().strip().splitlines()) == 1
+        elif rc != 0:
+            _assert_one_line_input_error(rc, err.getvalue())
+
+    check()
+
+
 def test_readme_lists_every_config_key_with_its_default_and_range():
     from claire.cli import DATASET_KINDS, SETTINGS
     readme = open(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                "README.md"), encoding="utf-8").read()
     rows = {line.split("|")[1].strip(): line for line in readme.splitlines()
             if line.startswith("| `")}
-    for name, rule in SETTINGS.items():
+    for name, (codec, default) in SETTINGS.items():
         row = rows.get(f"`{name}`", "")
-        assert f"| `{json.dumps(rule.default)}` |" in row, name
-        assert f"| {rule.text}{' or null' if rule.null else ''} |" in row, name
+        assert f"| `{json.dumps(default)}` |" in row, name
+        assert f"| {codec.text} |" in row, name
     for kind, fields in DATASET_KINDS.items():
-        for field, rule in fields.items():
+        for field, (codec, *default) in fields.items():
             row = rows.get(f"`dataset.{field}`", "")
-            assert kind in row and f"| {rule.text}{' or null' if rule.null else ''} |" in row
+            assert kind in row and f"| {codec.text} |" in row
+            assert (f"`{json.dumps(default[0])}`" if default else "required") in row
     for flag in ("--config", "--dataset", "--seed", "--out", "--mode", "--epochs",
                  "--learning-rate", "--model", "--split", "--n-background", "--n-eval",
                  "--n-coalitions"):
@@ -896,7 +985,7 @@ def _config_docs():
     from hypothesis import strategies as st
     from claire.cli import DATASET_KINDS, SETTINGS
     values = _json_values()
-    good = st.sampled_from([rule.default for rule in SETTINGS.values()] + [0, 1, 2, 0.5])
+    good = st.sampled_from([default for _, default in SETTINGS.values()] + [0, 1, 2, 0.5])
     keys = st.sampled_from([*SETTINGS, "bogus", "train.bogus", "explain.outputs"])
     fields = st.sampled_from(["kind", "bogus", *{f for fs in DATASET_KINDS.values() for f in fs}])
     dataset = (st.sampled_from(list(DATASETS.values()))
@@ -978,15 +1067,23 @@ def test_train_output_dir_that_is_a_file_exits_two_before_any_load(tmp_path, no_
     assert blocker.read_text() == "x"
 
 
+@pytest.mark.parametrize("command", ["eval", "explain", "project", "preprocess"])
 @pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
-def test_eval_output_dir_that_is_a_file_exits_two(workspace, trained, tmp_path, capsys,
-                                                  under):
+def test_eval_output_dir_that_is_a_file_exits_two(workspace, trained, tmp_path, no_loader,
+                                                  monkeypatch, capsys, command, under):
+    """Every command refuses such an output directory before it reads the
+    bundle or the data."""
+    def never(*args, **kwargs):
+        raise AssertionError("the bundle was read")
+    monkeypatch.setattr("claire.cli.load_bundle", never)
     blocker = tmp_path / "blocker"
     blocker.write_text("x")
     out = blocker / "sub" if under else blocker
-    rc = main(["eval", "--model", os.path.join(trained, "model.json"), "--out", str(out)])
+    model = [] if command == "preprocess" else ["--model", os.path.join(trained, "model.json")]
+    rc = main([command, "--dataset", workspace["data"], *model, "--out", str(out)])
     _assert_one_line_input_error(rc, capsys.readouterr().err,
                                  f"cannot create output directory {out}")
+    assert blocker.read_text() == "x"
 
 
 # ---- the table cache: train's parsed table, replayed by eval, explain and project ----

@@ -2,7 +2,8 @@
 benchmark use: every top-level function and class in ``src/claire`` is
 referenced in the package outside its own definition, or is exported in
 ``claire.__all__``, or is one of the few names listed below with the
-reason it stays. The phase-1 training step builds no dictionary."""
+reason it stays. The phase-1 training step builds no dictionary. One
+function reads JSON, and the command line holds no rules of its own."""
 import ast
 import os
 
@@ -101,3 +102,36 @@ def test_training_step_builds_no_dict():
                               if _builds_a_dict(node)]
     assert found == {name for names in STEP_FUNCTIONS.values() for name in names}
     assert offenders == []
+
+
+def _functions_calling(module: str, test) -> set[str]:
+    """The top-level functions of ``module`` with a node that passes ``test``."""
+    with open(os.path.join(SRC, f"{module}.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    return {stmt.name for stmt in tree.body if isinstance(stmt, ast.FunctionDef)
+            and any(test(node) for node in ast.walk(stmt))}
+
+
+def _is_json_load(node) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "load"
+            and isinstance(node.value, ast.Name) and node.value.id == "json")
+
+
+def _is_value_test(node) -> bool:
+    """``math.isfinite`` or an ``isinstance(..., bool)`` exclusion."""
+    return (isinstance(node, ast.Attribute) and node.attr == "isfinite"
+            or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance" and len(node.args) == 2
+            and any(isinstance(n, ast.Name) and n.id == "bool" for n in ast.walk(node.args[1])))
+
+
+def test_one_json_reader_and_one_rule_set():
+    """Both JSON documents are read by one function, and the command line
+    checks no value itself: its rules are the schema's codecs."""
+    modules = [name[:-3] for name in os.listdir(SRC) if name.endswith(".py")]
+    readers = [f"{module}.{name}" for module in modules
+               for name in _functions_calling(module, _is_json_load)]
+    assert readers == ["schema.read_document"]
+    with open(os.path.join(SRC, "cli.py"), encoding="utf-8") as fh:
+        assert not [node.lineno for node in ast.walk(ast.parse(fh.read()))
+                    if _is_value_test(node)]
