@@ -412,7 +412,7 @@ def handle_missing(ds: TabularDataset,
     report.dropped_columns = [(ds.feature_names[j], float(missing_frac[j]))
                               for j in np.flatnonzero(drop_mask)]
     kept_idx = np.flatnonzero(~drop_mask)
-    kept = x[:, kept_idx].copy()
+    kept = x[:, kept_idx]
     kept_names = [ds.feature_names[j] for j in kept_idx]
 
     for col in range(kept.shape[1]):
@@ -460,10 +460,10 @@ def apply_scaler(state: ScalerState, ds: TabularDataset) -> TabularDataset:
         raise InputError("scaler input still contains NaN; run missing-data handling first")
     span = state.col_max - state.col_min
     constant = span == 0
-    safe_span = np.where(constant, 1.0, span)
-    scaled = (x - state.col_min) / safe_span
-    scaled = np.where(constant, 0.5, scaled)
-    scaled = np.clip(scaled, 0.0, 1.0)
+    scaled = x - state.col_min          # the one new table; the rest is in place
+    scaled /= np.where(constant, 1.0, span)
+    scaled[:, constant] = 0.5
+    np.clip(scaled, 0.0, 1.0, out=scaled)
     return TabularDataset(scaled, ds.labels.copy(), list(ds.feature_names),
                           provenance=ds.provenance)
 
@@ -489,9 +489,10 @@ def stratified_split(ds: TabularDataset, test_fraction: float = 0.2,
     test_idx = np.sort(np.concatenate(test_rows))
     mask = np.zeros(ds.n_rows, dtype=bool)
     mask[test_idx] = True
-    train = TabularDataset(ds.features[~mask].copy(), ds.labels[~mask].copy(),
+    # boolean indexing copies
+    train = TabularDataset(ds.features[~mask], ds.labels[~mask],
                            list(ds.feature_names), provenance="train")
-    test = TabularDataset(ds.features[mask].copy(), ds.labels[mask].copy(),
+    test = TabularDataset(ds.features[mask], ds.labels[mask],
                           list(ds.feature_names), provenance="test")
     return train, test
 
@@ -534,23 +535,27 @@ class PreparedData:
 def run_pipeline(ds_raw: TabularDataset, drop_threshold: float = 0.30,
                  test_fraction: float = 0.2, seed: int = 42) -> PreparedData:
     """Run the fixed pipeline and return scaled train/test splits plus the
-    state needed to preprocess future rows identically.
+    state needed to preprocess future rows identically. Each stage's table
+    is let go as soon as the next one is made.
     """
     handled, report = handle_missing(ds_raw, drop_threshold)
+    kept_names = list(handled.feature_names)
     medians = {name: float(np.median(handled.features[:, j]))
-               for j, name in enumerate(handled.feature_names)}
+               for j, name in enumerate(kept_names)}
     train, test = stratified_split(handled, test_fraction, substream_seed(seed, "split"))
+    del handled
     report.class_counts_before = train.class_counts()
-    train_bal = oversample_minority(train, substream_seed(seed, "oversample"))
-    report.class_counts_after = train_bal.class_counts()
-    scaler = fit_scaler(train_bal)
+    train = oversample_minority(train, substream_seed(seed, "oversample"))
+    report.class_counts_after = train.class_counts()
+    scaler = fit_scaler(train)
+    train = apply_scaler(scaler, train)
     return PreparedData(
-        train=apply_scaler(scaler, train_bal),
+        train=train,
         test=apply_scaler(scaler, test),
         scaler=scaler,
         report=report,
         original_names=list(ds_raw.feature_names),
-        kept_names=list(handled.feature_names),
+        kept_names=kept_names,
         medians=medians,
     )
 

@@ -65,6 +65,16 @@ def _preprocessing_check(a: dict) -> None:
         raise _Refused("must be among the original feature names", ".kept_feature_names")
 
 
+def _bundle_check(a: dict) -> None:
+    """The replay's drop threshold (the default for a null preprocess
+    block) still drops every column the report says training dropped."""
+    threshold = (a["preprocess"] or PREPROCESS.load({}))["drop_threshold"]
+    for name, fraction in a["report"].dropped_columns:
+        if fraction <= threshold:
+            raise _Refused(f"must be below the missing fraction {fraction!r} of dropped "
+                           f"column {name!r}, got {threshold!r}", ".preprocess.drop_threshold")
+
+
 _KEEP = _number("a number in (0, 1]", lambda x: 0 < x <= 1)
 _VECTOR = _array(1)
 
@@ -135,7 +145,7 @@ _BUNDLE = _section(TrainedModel, [
     # the config's blocks that train ran with, so later commands replay its split
     ("preprocess", _nullable(PREPROCESS), None),
     ("dataset", _nullable(DATASET), None),
-])
+], _bundle_check)
 
 
 def bundle_dict(model: TrainedModel) -> dict:

@@ -115,8 +115,20 @@ def _array(ndim: int, low: float = -math.inf) -> _Codec:
 
 
 def _nullable(codec: _Codec) -> _Codec:
-    return _Codec(lambda v: None if v is None else codec.dump(v),
-                  lambda v: None if v is None else codec.load(v), codec.text + " or null")
+    """``codec``'s value or null. A refusal of the value itself says that
+    null is read too; one of a value inside it keeps its own words."""
+    text = codec.text + " or null"
+
+    def load(value):
+        if value is None:
+            return None
+        try:
+            return codec.load(value)
+        except _Refused as exc:
+            if exc.path or not str(exc).startswith("must be "):
+                raise
+            _refuse(text, value)
+    return _Codec(lambda v: None if v is None else codec.dump(v), load, text)
 
 
 def _list(codec: _Codec) -> _Codec:

@@ -22,6 +22,7 @@ from .numerics import as_matrix, column_mean_var
 
 SV_THRESHOLD = 1e-10
 TAU = 1e-12    # curvature floor for a pair the kernel cannot tell apart
+BLOCK = 1 << 15    # values per row block of the rbf kernel's distance pass
 KERNELS = ("linear", "polynomial", "rbf", "sigmoid")
 
 
@@ -78,24 +79,39 @@ def resolve_kernel(spec: KernelSpec, train_features: np.ndarray) -> KernelSpec:
 
 
 def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kernel values for every row pair, shape (rows(a), rows(b))."""
+    """Kernel values for every row pair, shape (rows(a), rows(b)).
+
+    One buffer: every kind is finished inside the array that ``a @ b.T``
+    returns, so the only other memory is a row block of about ``BLOCK``
+    values (rbf). Each value takes the same operations in the same order
+    as the whole-matrix formulas, so the bits are theirs.
+    """
     a = as_matrix(a)
     b = as_matrix(b)
     if a.shape[1] != b.shape[1]:
         raise ShapeError(f"feature widths differ: {a.shape[1]} vs {b.shape[1]}")
-    inner = a @ b.T
-    if spec.kind == "linear":
-        return inner
+    out = a @ b.T
     if spec.kind == "polynomial":
-        return (inner + spec.coef0) ** spec.degree
-    if spec.kind == "sigmoid":
-        return np.tanh(spec.gamma * inner + spec.coef0)
-    sq = (np.square(a).sum(axis=1)[:, None]
-          + np.square(b).sum(axis=1)[None, :] - 2.0 * inner)
-    np.maximum(sq, 0.0, out=sq)
-    if a is b:
-        np.fill_diagonal(sq, 0.0)
-    return np.exp(-spec.gamma * sq)
+        out += spec.coef0
+        out **= spec.degree
+    elif spec.kind == "sigmoid":
+        out *= spec.gamma
+        out += spec.coef0
+        np.tanh(out, out=out)
+    elif spec.kind == "rbf":
+        # |a_i - b_j|^2 = (|a_i|^2 + |b_j|^2) - 2 a_i.b_j, clamped at 0
+        sq_a, sq_b = np.square(a).sum(axis=1), np.square(b).sum(axis=1)
+        step = max(1, BLOCK // max(1, out.shape[1]))
+        for r in range(0, out.shape[0], step):
+            blk = out[r:r + step]
+            blk *= 2.0
+            np.subtract(sq_a[r:r + step, None] + sq_b[None, :], blk, out=blk)
+            np.maximum(blk, 0.0, out=blk)
+            if a is b:
+                np.fill_diagonal(blk[:, r:], 0.0)
+            blk *= -spec.gamma
+            np.exp(blk, out=blk)
+    return out
 
 
 @dataclass

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -31,3 +33,14 @@ def named_parameters(params):
     """(name, array) of every trainable parameter, in the order of the
     network's parameter vector and of its gradient."""
     return [(name, getattr(owner, attr)) for name, owner, attr in _parameter_slots(params)]
+
+
+def peak_bytes(call) -> int:
+    """The most bytes that ``call()`` held at once, numpy's buffers included
+    (numpy reports them to tracemalloc)."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

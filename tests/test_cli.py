@@ -681,12 +681,25 @@ def test_refused_value_exits_two_naming_its_key(tmp_path, no_loader, capsys, key
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("flag,value,key", [("--epochs", "0", "'train.epochs'"),
-                                            ("--learning-rate", "-1", "'train.learning_rate'"),
-                                            ("--learning-rate", "nan", "'train.learning_rate'")])
+@pytest.mark.parametrize("flag,value,key", [
+    ("--epochs", "0", "'train.epochs' must be an integer >= 1 or null, got 0"),
+    ("--learning-rate", "-1", "'train.learning_rate'"),
+    ("--learning-rate", "nan", "'train.learning_rate'")])
 def test_flag_value_is_checked_by_the_table(tmp_path, no_loader, capsys, flag, value, key):
     rc = _train_with(tmp_path, _config_doc({}), flag, value)
     _assert_one_line_input_error(rc, capsys.readouterr().err, key)
+
+
+@pytest.mark.parametrize("dataset,needle", [
+    (5, "'dataset' must be an object or null, got 5"),
+    ({"kind": "csv", "path": {}}, "'dataset.path' must be a file name, got {}"),
+    ({"kind": "tep", "path": "x.csv", "fault_classes": [0]},
+     "'dataset.fault_classes' must be a list of integers >= 1 or null, got [0]"),
+])
+def test_nullable_refusal_says_null_only_of_the_value_itself(tmp_path, no_loader, capsys,
+                                                             dataset, needle):
+    rc = _train_with(tmp_path, _config_doc({}, dataset))
+    _assert_one_line_input_error(rc, capsys.readouterr().err, needle)
 
 
 @pytest.mark.parametrize("key,value", [
@@ -780,6 +793,36 @@ def _with_preprocess(trained, tmp_path, preprocess):
     bundle = tmp_path / "model.json"
     bundle.write_text(json.dumps(doc))
     return str(bundle)
+
+
+@pytest.mark.parametrize("preprocess,fraction,rc", [
+    ({"drop_threshold": 0.9, "test_fraction": 0.2}, None, 2),
+    ({"drop_threshold": 0.7, "test_fraction": 0.2}, 0.7, 2),
+    (None, 0.3, 2),                                 # a null block replays 0.30
+    (None, 0.31, 0),
+    ({"drop_threshold": 0.2, "test_fraction": 0.2}, 0.25, 0),
+])
+def test_bundle_threshold_that_keeps_a_dropped_column_exits_two(
+        workspace, trained, tmp_path, request, capsys, preprocess, fraction, rc):
+    """A bundle whose preprocess.drop_threshold would keep a column its
+    report says training dropped contradicts itself: exit 2 naming the
+    threshold, before any dataset is read."""
+    doc = json.load(open(os.path.join(trained, "model.json")))
+    doc["preprocess"] = preprocess
+    if fraction is not None:
+        doc["preprocessing"]["report"]["dropped_columns"][0]["missing_fraction"] = fraction
+    bundle = tmp_path / "model.json"
+    bundle.write_text(json.dumps(doc))
+    if rc == 2:
+        request.getfixturevalue("no_loader")
+    got = main(["eval", "--dataset", workspace["data"], "--model", str(bundle),
+                "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    if rc == 0:
+        assert got == 0, err
+    else:
+        _assert_one_line_input_error(got, err, f"{bundle}: preprocess.drop_threshold must be "
+                                     "below the missing fraction")
 
 
 @pytest.mark.parametrize("command", ["eval", "explain", "project"])
@@ -903,9 +946,11 @@ def test_any_structural_bundle_edit_exits_zero_or_two_in_one_line(trained, tmp_p
     """A key inserted into any object of the bundle, or any subtree (the
     whole document too) replaced by any JSON value, either evaluates with
     exit 0 or exits 2 in one line, with no traceback. The one exit 4 is the
-    replay guard's one line: a preprocess.drop_threshold that no longer
-    drops the recorded columns reads as a dataset other than the one
-    trained on, as in test_mismatched_replay_dataset_exits_four."""
+    replay guard's one line: a preprocess.drop_threshold lowered below the
+    missing fraction of a kept column, which the bundle does not record,
+    drops it and reads as a dataset other than the one trained on, as in
+    test_mismatched_replay_dataset_exits_four. A threshold raised to keep
+    a dropped column exits 2, as the bundle's own contradiction."""
     import contextlib
     import io
     from hypothesis import example, given, settings
@@ -917,6 +962,7 @@ def test_any_structural_bundle_edit_exits_zero_or_two_in_one_line(trained, tmp_p
     @given(path=st.sampled_from(list(_subtrees(json.loads(text)))),
            key=st.none() | st.text(max_size=4) | st.just("bogus"), value=_json_values())
     @example(path=("preprocess", "drop_threshold"), key=None, value=0.9)
+    @example(path=("preprocess", "drop_threshold"), key=None, value=0.01)
     @example(path=("preprocessing", "original_feature_names"), key=None,
              value=["a", "b", "c", "d", "e"])
     @example(path=("network", "encoder"), key=None, value=[])

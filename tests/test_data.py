@@ -9,8 +9,9 @@ from claire.data import (TabularDataset, apply_saved_preprocessing,
                          write_table_cache)
 from claire.errors import DegenerateDataError, InputError, ShapeError, StateError
 from claire.numerics import substream_seed
+from claire.synthetic import make_wide_line_dataset
 
-from conftest import make_dataset
+from conftest import make_dataset, peak_bytes
 
 
 def test_dataset_validation():
@@ -261,6 +262,15 @@ def test_run_pipeline_invariants():
     handled, _ = handle_missing(ds, 0.30)
     train, test = stratified_split(handled, 0.2, substream_seed(9, "split"))
     assert np.array_equal(test.labels, prep.test.labels)
+
+
+def test_run_pipeline_holds_at_most_three_tables():
+    """Each stage's table is let go once the next is made, and scaling
+    makes one new table: at most three tables' worth at once on the
+    default line table (1567 x 590, 7.40 MB), the result included."""
+    ds = make_wide_line_dataset()
+    peak = peak_bytes(lambda: run_pipeline(ds))
+    assert peak <= 3 * ds.features.nbytes
 
 
 def test_apply_saved_preprocessing_replays_pipeline():

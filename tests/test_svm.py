@@ -13,9 +13,11 @@ import numpy as np
 import pytest
 
 from claire.errors import DegenerateDataError, InputError, ShapeError
-from claire.svm import (SV_THRESHOLD, KernelSpec, SvmModel, _pair_updates, decision_function,
-                        full_alphas, kernel_matrix, kkt_violation, predict_labels,
-                        resolve_kernel, smo_train)
+from claire.svm import (BLOCK, SV_THRESHOLD, KernelSpec, SvmModel, _pair_updates,
+                        decision_function, full_alphas, kernel_matrix, kkt_violation,
+                        predict_labels, resolve_kernel, smo_train)
+
+from conftest import peak_bytes
 
 
 def kernel_eval(spec, u, v):
@@ -101,6 +103,64 @@ def test_kernel_matrix_matches_eval_and_is_psd():
         assert np.allclose(k, k.T)
         # positive semi-definite up to round-off (sigmoid is indefinite, exempt)
         assert np.linalg.eigvalsh(k).min() >= -1e-8
+
+
+def whole_matrix_gram(spec, a, b):
+    """The kernels as whole-matrix formulas, each step a new n x m array:
+    the bits kernel_matrix must reproduce in its one buffer."""
+    inner = a @ b.T
+    if spec.kind == "linear":
+        return inner
+    if spec.kind == "polynomial":
+        return (inner + spec.coef0) ** spec.degree
+    if spec.kind == "sigmoid":
+        return np.tanh(spec.gamma * inner + spec.coef0)
+    sq = (np.square(a).sum(axis=1)[:, None]
+          + np.square(b).sum(axis=1)[None, :] - 2.0 * inner)
+    np.maximum(sq, 0.0, out=sq)
+    if a is b:
+        np.fill_diagonal(sq, 0.0)
+    return np.exp(-spec.gamma * sq)
+
+
+SPECS = [KernelSpec.linear(), KernelSpec.polynomial(coef0=1.0, degree=3),
+         KernelSpec.polynomial(coef0=0.5, degree=2), KernelSpec.rbf(0.37),
+         KernelSpec.sigmoid(gamma=0.2, coef0=0.1)]
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}{s.degree}")
+@pytest.mark.parametrize("n,m,d", [
+    (1, None, 3),           # 1 x 1, a is b
+    (1, 1, 3),
+    (700, None, 5),         # blocks of BLOCK // 700 = 46 rows: 15 of them, then 10
+    (700, 300, 5),          # blocks of 109 rows: 6 of them, then 46
+    (3, BLOCK + 3, 2),      # so wide that a block is one row
+    (3, 0, 2),              # no columns, as for an empty split
+])
+def test_kernel_matrix_bits_match_the_whole_matrix_formulas(spec, n, m, d):
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(n, d))
+    b = a if m is None else rng.normal(size=(m, d))
+    got, want = kernel_matrix(spec, a, b), whole_matrix_gram(spec, a, b)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+MEMORY_ROWS = np.random.default_rng(7).normal(size=(1500, 32))
+GRAM_BYTES = MEMORY_ROWS.shape[0] ** 2 * 8
+
+
+@pytest.mark.parametrize("spec", SPECS[:2] + SPECS[3:], ids=lambda s: s.kind)
+def test_kernel_matrix_holds_one_gram(spec):
+    x = MEMORY_ROWS
+    assert peak_bytes(lambda: kernel_matrix(spec, x, x)) <= 1.1 * GRAM_BYTES
+
+
+def test_smo_train_holds_one_gram():
+    x = MEMORY_ROWS
+    y = np.where(x[:, 0] + 0.5 * x[:, 1] > 0, 1.0, -1.0)
+    peak = peak_bytes(lambda: smo_train(x, y, KernelSpec.rbf(), max_passes=1))
+    assert peak <= 1.25 * GRAM_BYTES
 
 
 def test_resolve_kernel_gamma_rules():
