@@ -6,7 +6,7 @@ then a kernel SVM is trained on the frozen latent codes. Shapley-value
 attributions explain the encoder; a Fisher discriminant projection
 quantifies class separability in the latent space.
 """
-from .data import (PreparedData, PreprocessReport, ScalerState, TabularDataset,
+from .data import (PreparedData, Preprocessing, PreprocessReport, ScalerState, TabularDataset,
                    apply_saved_preprocessing, fit_scaler, handle_missing,
                    load_labeled_csv, load_secom, load_tep, oversample_minority,
                    run_pipeline, stratified_split)
@@ -29,7 +29,7 @@ __all__ = [
     "AttributionTensor", "ClaireError", "ConditioningError", "DegenerateDataError",
     "DivergenceError", "EpochLog", "InputError", "InterfaceError", "KernelSpec",
     "LdaProjection", "LossWeights", "MetricsReport", "NetworkParams", "NumericError",
-    "PreparedData", "PreprocessReport", "RngStream", "ScalerState", "ShapeError",
+    "PreparedData", "Preprocessing", "PreprocessReport", "RngStream", "ScalerState", "ShapeError",
     "StateError", "SvmConfig", "SvmModel", "TabularDataset", "TrainConfig",
     "TrainedModel", "apply_saved_preprocessing", "build_network",
     "class_conditional_importance", "compute_metrics", "decision_function",

@@ -22,7 +22,7 @@ import traceback
 import numpy as np
 
 from . import data as data_mod
-from .data import TabularDataset, stratified_split
+from .data import Preprocessing, TabularDataset, stratified_split
 from .errors import (ClaireError, ConditioningError, DegenerateDataError, InputError,
                      NumericError, ShapeError, StateError)
 from .evaluate import compute_metrics, lda_fit, project_export
@@ -185,13 +185,12 @@ def _train_table(cfg: dict) -> TabularDataset:
 
 def cmd_preprocess(cfg: dict, args) -> int:
     prepared = _prepare(cfg, load_dataset(_dataset(cfg["dataset"])))
-    out = _out_dir(cfg)
+    p, out = prepared.preprocessing, _out_dir(cfg)
     for name, split in (("train", prepared.train), ("test", prepared.test)):
-        write_csv(os.path.join(out, f"{name}.csv"),
-                  prepared.kept_names + ["label"],
+        write_csv(os.path.join(out, f"{name}.csv"), p.kept_names + ["label"],
                   (row + [lab] for row, lab in zip(split.features.tolist(),
                                                    split.labels.tolist())))
-    write_json(os.path.join(out, "preprocess_report.json"), REPORT.dump(prepared.report))
+    write_json(os.path.join(out, "preprocess_report.json"), REPORT.dump(p.report))
     print(f"wrote train.csv, test.csv, preprocess_report.json to {out}")
     return 0
 
@@ -211,7 +210,8 @@ def cmd_train(cfg: dict, args) -> int:
                   ["epoch", "l_recon", "l_latent", "l_clf", "l_ent", "l_total"],
                   ((e.epoch, e.recon, e.latent, e.clf, e.ent, e.total)
                    for e in model.epoch_logs))
-    write_json(os.path.join(out, "preprocess_report.json"), REPORT.dump(model.report))
+    write_json(os.path.join(out, "preprocess_report.json"),
+               REPORT.dump(model.preprocessing.report))
     svm = model.svm
     if not svm.converged:
         print(f"warning: svm update budget ({svm_cfg.max_passes} per row) ran out "
@@ -243,17 +243,21 @@ def _replay(model: TrainedModel, cfg: dict, args) -> TabularDataset:
     raw = data_mod.read_table_cache(cache, *_source(ds))
     if raw is None:
         raw = load_dataset(ds)
-    if raw.features.shape[1] == len(model.original_names):
-        # replay guard: the same missing-data census must drop the same columns
-        _, drop = data_mod.missing_census(raw.features, model.preprocess["drop_threshold"])
-        if [raw.feature_names[j] for j in np.flatnonzero(~drop)] != model.kept_names:
-            raise ClaireError(
-                "replayed preprocessing kept a different column set than the model "
-                "bundle records; the dataset does not match the one trained on")
-    scaled = data_mod.apply_saved_preprocessing(raw.features, model.original_names,
-                                                model.kept_names, model.medians,
-                                                model.scaler)
-    return TabularDataset(scaled, raw.labels, list(model.kept_names))
+    p, threshold = model.preprocessing, model.preprocess["drop_threshold"]
+    if raw.features.shape[1] == len(p.original_names):
+        fraction, drop = data_mod.missing_census(raw.features, threshold)
+        if [raw.feature_names[j] for j in np.flatnonzero(~drop)] != p.kept_names:
+            j = next((j for j, name in enumerate(raw.feature_names)
+                      if drop[j] == (name in p.kept_names)), None)
+            why = ("the same columns, in another order or under other names" if j is None else
+                   f"column {raw.feature_names[j]!r} is {'dropped' if drop[j] else 'kept'} here "
+                   f"(missing fraction {float(fraction[j])!r}, drop_threshold {threshold!r}) "
+                   "but not in the model")
+            raise ClaireError("replayed preprocessing kept a different column set than the model "
+                              f"bundle records: {why}; the dataset does not match the one "
+                              "trained on")
+    scaled = data_mod.apply_saved_preprocessing(raw.features, p)
+    return TabularDataset(scaled, raw.labels, list(p.kept_names))
 
 
 def _split(model: TrainedModel, rows: TabularDataset) -> tuple[TabularDataset, TabularDataset]:
@@ -272,16 +276,16 @@ def _replay_codes(cfg: dict, args) -> tuple[TrainedModel, np.ndarray, np.ndarray
     return model, model_codes(model, rows.features), rows.labels
 
 
-def _column_index(model: TrainedModel, key: str, column) -> int:
+def _column_index(p: Preprocessing, key: str, column) -> int:
     """Index among the kept columns of a column given by name or index."""
     if not isinstance(column, str):
-        if column < len(model.kept_names):
+        if column < len(p.kept_names):
             return column
         raise InputError(f"explain.{key} index {column} is outside the "
-                         f"{len(model.kept_names)} kept columns")
-    if column in model.kept_names:
-        return model.kept_names.index(column)
-    why = ("was dropped by preprocessing" if column in model.original_names
+                         f"{len(p.kept_names)} kept columns")
+    if column in p.kept_names:
+        return p.kept_names.index(column)
+    why = ("was dropped by preprocessing" if column in p.original_names
            else "is not a column of the dataset")
     raise InputError(f"explain.{key} {column!r} {why}")
 
@@ -309,8 +313,9 @@ def cmd_explain(cfg: dict, args) -> int:
         raise InputError(f"config key 'explain.output' must be \"mean\" or a latent "
                          f"dimension in [0, {k}), got {output!r}")
     n_bg, n_eval, n_coalitions = e["n_background"], e["n_eval"], e["n_coalitions"]
-    coalition_count(len(model.kept_names), n_coalitions)     # refuses fewer than d + 2
-    feat, color = (None if e[key] is None else _column_index(model, key, e[key])
+    kept = model.preprocessing.kept_names
+    coalition_count(len(kept), n_coalitions)     # refuses fewer than d + 2
+    feat, color = (None if e[key] is None else _column_index(model.preprocessing, key, e[key])
                    for key in ("dependence_feature", "dependence_color"))
     train, test = _split(model, _replay(model, cfg, args))
     train_x, test_x, test_labels = train.features, test.features, test.labels
@@ -319,7 +324,7 @@ def cmd_explain(cfg: dict, args) -> int:
     print(f"explain: {n_eval} rows x {per_row} coalitions x {n_bg} background rows "
           f"= {n_eval * per_row * n_bg} coalition rows")
     attr = explain_encoder(model.network, train_x, test_x,
-                           feature_names=model.kept_names,
+                           feature_names=kept,
                            n_background=n_bg, n_eval=n_eval,
                            n_coalitions=n_coalitions,
                            seed=substream_seed(cfg["seed"], "shap"),
@@ -367,8 +372,7 @@ def cmd_explain(cfg: dict, args) -> int:
     rows = dependence_export(attr, eval_x, int(feat_idx), int(color_idx), output)
     write_csv(os.path.join(out, "dependence.csv"),
               ["feature", "feature_value", "attribution", "color_feature", "color_value"],
-              ((model.kept_names[int(feat_idx)], fv, sv,
-                model.kept_names[int(color_idx)], cv) for fv, sv, cv in rows))
+              ((names[int(feat_idx)], fv, sv, names[int(color_idx)], cv) for fv, sv, cv in rows))
     print(f"wrote attribution exports for {n_eval} samples to {out}")
     return 0
 

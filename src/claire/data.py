@@ -2,8 +2,10 @@
 
 Pipeline order is fixed: missing-data handling, stratified split, minority
 oversampling on the training rows only, then min-max scaling fitted on the
-oversampled training rows and applied to both splits. No statistic of the
-test split influences fitted state.
+oversampled training rows and applied to both splits. The missing-data
+census (which columns are dropped) and the imputation medians are taken
+over every row, test rows included, before the split. ``Preprocessing``
+holds the fitted state that ``apply_saved_preprocessing`` replays.
 
 Label convention everywhere: 1 = success / normal operation, 0 = failure.
 
@@ -33,7 +35,7 @@ from typing import Any, Callable, TextIO
 
 import numpy as np
 
-from .errors import DegenerateDataError, InputError, ShapeError, StateError
+from .errors import DegenerateDataError, InputError, ShapeError
 from .numerics import RngStream, substream_seed
 
 
@@ -83,9 +85,8 @@ class TabularDataset:
 @dataclass
 class ScalerState:
     """Per-column min/max learned from training rows."""
-    col_min: np.ndarray | None = None
-    col_max: np.ndarray | None = None
-    fitted: bool = False
+    col_min: np.ndarray
+    col_max: np.ndarray
 
 
 @dataclass
@@ -223,6 +224,15 @@ def _sniff_delimiter(line: str) -> str | None:
     return "," if "," in line else None
 
 
+def _header(path: str, line_no: int, names: list[str]) -> list[str]:
+    """A header's column ``names``, refused if one is given twice: every
+    later stage, the replay of a saved model too, finds a column by name."""
+    if len(set(names)) < len(names):
+        twice = next(name for j, name in enumerate(names) if name in names[:j])
+        raise InputError(f"{path}:{line_no}: column {twice!r} is named twice in the header")
+    return names
+
+
 def load_tep(path: str, fault_classes: list[int] | None = None) -> TabularDataset:
     """Load a process-monitoring table: numeric variable columns plus a final
     integer fault-class column; an optional header row is auto-detected.
@@ -241,7 +251,7 @@ def load_tep(path: str, fault_classes: list[int] | None = None) -> TabularDatase
             try:
                 float(head[0])
             except ValueError:          # a header row
-                names, width, start = head[:-1], len(head), line_no + 1
+                names, width, start = _header(path, line_no, head)[:-1], len(head), line_no + 1
             else:
                 names, width, start = None, None, line_no
                 fh.seek(pos)
@@ -285,7 +295,7 @@ def load_labeled_csv(path: str, label_column: str = "label") -> TabularDataset:
             _, line_no, first = _first_line(fh)
             if not first:
                 raise InputError(need_rows)
-            header = [t.strip() for t in first.split(",")]
+            header = _header(path, line_no, [t.strip() for t in first.split(",")])
             if label_column not in header:
                 raise InputError(f"{path}: no column named {label_column!r} in header")
             label_idx = header.index(label_column)
@@ -401,6 +411,13 @@ def missing_census(features: np.ndarray,
     return missing_frac, drop_mask
 
 
+def _impute(x: np.ndarray, medians: np.ndarray, holes: np.ndarray) -> np.ndarray:
+    """``x`` with its ``holes`` (its NaNs) set in place to their column's
+    ``medians``: the one imputation, for training and for the replay."""
+    np.copyto(x, medians, where=holes)
+    return x
+
+
 def handle_missing(ds: TabularDataset,
                    drop_threshold: float = 0.30) -> tuple[TabularDataset, PreprocessReport]:
     """Drop columns whose missing fraction exceeds ``drop_threshold``; impute
@@ -415,21 +432,19 @@ def handle_missing(ds: TabularDataset,
     kept = x[:, kept_idx]
     kept_names = [ds.feature_names[j] for j in kept_idx]
 
-    for col in range(kept.shape[1]):
-        nan_mask = np.isnan(kept[:, col])
-        if not nan_mask.any():
-            continue
-        finite = kept[~nan_mask, col]
-        if finite.size == 0:
+    holes = np.isnan(kept)
+    medians = np.zeros(kept.shape[1])
+    for col in np.flatnonzero(holes.any(axis=0)):
+        observed = kept[~holes[:, col], col]
+        if observed.size == 0:
             raise DegenerateDataError(
                 f"column {kept_names[col]!r} survives the drop threshold but has no "
                 "observed values to take a median from")
-        med = float(np.median(finite))
-        kept[nan_mask, col] = med
-        report.imputed_columns.append((kept_names[col], med))
+        medians[col] = np.median(observed)
+        report.imputed_columns.append((kept_names[col], float(medians[col])))
 
-    out = TabularDataset(kept, ds.labels.copy(), kept_names, provenance=ds.provenance)
-    return out, report
+    _impute(kept, medians, holes)
+    return TabularDataset(kept, ds.labels.copy(), kept_names, provenance=ds.provenance), report
 
 
 def fit_scaler(train: TabularDataset) -> ScalerState:
@@ -441,18 +456,15 @@ def fit_scaler(train: TabularDataset) -> ScalerState:
         raise InputError("scaler input still contains NaN; run missing-data handling first")
     if x.shape[0] == 0:
         raise DegenerateDataError("cannot fit a scaler on zero rows")
-    return ScalerState(col_min=x.min(axis=0), col_max=x.max(axis=0), fitted=True)
+    return ScalerState(col_min=x.min(axis=0), col_max=x.max(axis=0))
 
 
-def apply_scaler(state: ScalerState, ds: TabularDataset) -> TabularDataset:
-    """Map features to [0, 1] using the fitted ranges.
+def apply_scaler(state: ScalerState, x: np.ndarray) -> np.ndarray:
+    """Features ``x`` mapped to [0, 1] by the fitted ranges, in a new table.
 
     Constant columns map to 0.5. Values outside the fitted range (possible
     on test rows) are clipped so every output lies in [0, 1].
     """
-    if not state.fitted:
-        raise StateError("apply_scaler called before fit_scaler")
-    x = ds.features
     if x.shape[1] != state.col_min.shape[0]:
         raise ShapeError(
             f"scaler fitted on {state.col_min.shape[0]} columns, dataset has {x.shape[1]}")
@@ -464,8 +476,7 @@ def apply_scaler(state: ScalerState, ds: TabularDataset) -> TabularDataset:
     scaled /= np.where(constant, 1.0, span)
     scaled[:, constant] = 0.5
     np.clip(scaled, 0.0, 1.0, out=scaled)
-    return TabularDataset(scaled, ds.labels.copy(), list(ds.feature_names),
-                          provenance=ds.provenance)
+    return scaled
 
 
 def stratified_split(ds: TabularDataset, test_fraction: float = 0.2,
@@ -521,15 +532,22 @@ def oversample_minority(train: TabularDataset, seed: int = 42) -> TabularDataset
 
 
 @dataclass
+class Preprocessing:
+    """The fitted preprocessing that new rows replay (the model bundle's
+    ``preprocessing`` section); ``medians`` fill each kept column's holes."""
+    original_names: list[str]
+    kept_names: list[str]
+    medians: dict[str, float]
+    scaler: ScalerState
+    report: PreprocessReport
+
+
+@dataclass
 class PreparedData:
     """Everything the downstream stages need after preprocessing."""
     train: TabularDataset
     test: TabularDataset
-    scaler: ScalerState
-    report: PreprocessReport
-    original_names: list[str]
-    kept_names: list[str]
-    medians: dict[str, float]
+    preprocessing: Preprocessing
 
 
 def run_pipeline(ds_raw: TabularDataset, drop_threshold: float = 0.30,
@@ -540,45 +558,31 @@ def run_pipeline(ds_raw: TabularDataset, drop_threshold: float = 0.30,
     """
     handled, report = handle_missing(ds_raw, drop_threshold)
     kept_names = list(handled.feature_names)
-    medians = {name: float(np.median(handled.features[:, j]))
-               for j, name in enumerate(kept_names)}
+    # imputing at the median leaves it unchanged: these are the imputed values
+    medians = dict(zip(kept_names, np.median(handled.features, axis=0).tolist()))
     train, test = stratified_split(handled, test_fraction, substream_seed(seed, "split"))
     del handled
     report.class_counts_before = train.class_counts()
     train = oversample_minority(train, substream_seed(seed, "oversample"))
     report.class_counts_after = train.class_counts()
     scaler = fit_scaler(train)
-    train = apply_scaler(scaler, train)
-    return PreparedData(
-        train=train,
-        test=apply_scaler(scaler, test),
-        scaler=scaler,
-        report=report,
-        original_names=list(ds_raw.feature_names),
-        kept_names=kept_names,
-        medians=medians,
-    )
+    train.features = apply_scaler(scaler, train.features)
+    test.features = apply_scaler(scaler, test.features)
+    return PreparedData(train, test, Preprocessing(list(ds_raw.feature_names), kept_names,
+                                                   medians, scaler, report))
 
 
-def apply_saved_preprocessing(features_raw: np.ndarray, original_names: list[str],
-                              kept_names: list[str], medians: dict[str, float],
-                              scaler: ScalerState) -> np.ndarray:
+def apply_saved_preprocessing(features_raw: np.ndarray,
+                              preprocessing: Preprocessing) -> np.ndarray:
     """Preprocess new raw rows with state saved from a training run: drop the
     same columns, impute saved medians, and apply the saved scaler.
     """
-    x = np.asarray(features_raw, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
-    if x.shape[1] != len(original_names):
+    p = preprocessing
+    x = np.atleast_2d(np.asarray(features_raw, dtype=np.float64))
+    if x.shape[1] != len(p.original_names):
         raise ShapeError(
-            f"saved preprocessing expects {len(original_names)} raw columns, got {x.shape[1]}")
-    col_of = {name: j for j, name in enumerate(original_names)}
-    kept = np.empty((x.shape[0], len(kept_names)), dtype=np.float64)
-    for out_j, name in enumerate(kept_names):
-        col = x[:, col_of[name]].copy()
-        nan_mask = np.isnan(col)
-        if nan_mask.any():
-            col[nan_mask] = medians[name]
-        kept[:, out_j] = col
-    dummy = TabularDataset(kept, np.zeros(kept.shape[0], dtype=np.int64), list(kept_names))
-    return apply_scaler(scaler, dummy).features
+            f"saved preprocessing expects {len(p.original_names)} raw columns, got {x.shape[1]}")
+    col_of = {name: j for j, name in enumerate(p.original_names)}
+    kept = x[:, [col_of[name] for name in p.kept_names]]
+    medians = np.array([p.medians[name] for name in p.kept_names])
+    return apply_scaler(p.scaler, _impute(kept, medians, np.isnan(kept)))

@@ -16,7 +16,7 @@ import json
 
 import numpy as np
 
-from .data import PreprocessReport, ScalerState
+from .data import Preprocessing, PreprocessReport, ScalerState
 from .network import (ACTIVATIONS, Activation, BatchNormState, DenseLayer, DropoutState,
                       LossWeights, NetworkParams)
 from .schema import (COUNT, DATASET, FINITE, POSITIVE, PREPROCESS, SETTINGS,
@@ -69,7 +69,7 @@ def _bundle_check(a: dict) -> None:
     """The replay's drop threshold (the default for a null preprocess
     block) still drops every column the report says training dropped."""
     threshold = (a["preprocess"] or PREPROCESS.load({}))["drop_threshold"]
-    for name, fraction in a["report"].dropped_columns:
+    for name, fraction in a["preprocessing"].report.dropped_columns:
         if fraction <= threshold:
             raise _Refused(f"must be below the missing fraction {fraction!r} of dropped "
                            f"column {name!r}, got {threshold!r}", ".preprocess.drop_threshold")
@@ -128,12 +128,11 @@ REPORT = _section(PreprocessReport, [
 _BUNDLE = _section(TrainedModel, [
     ("format", None, _tag(MODEL_FORMAT)), *_train("mode"), ("seed", SETTINGS["seed"][0]),
     ("train_config", _nullable(_TRAIN_CONFIG)),
-    ("preprocessing", None, _section(dict, [
+    ("preprocessing", _section(Preprocessing, [
         ("original_feature_names", "original_names", _list(STRING)),
         ("kept_feature_names", "kept_names", _list(STRING)),
         ("medians", _mapping(FINITE)),
-        ("scaler", _section(lambda **a: ScalerState(**a, fitted=True),
-                            [("col_min", _VECTOR), ("col_max", _VECTOR)])),
+        ("scaler", _section(ScalerState, [("col_min", _VECTOR), ("col_max", _VECTOR)])),
         ("report", REPORT)], _preprocessing_check)),
     ("network", _nullable(_section(NetworkParams, [
         ("input_dim", COUNT), ("latent_dim", COUNT), ("encoder", _list(_LAYER)),

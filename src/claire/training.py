@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import PreparedData, TabularDataset, apply_saved_preprocessing
+from .data import PreparedData, Preprocessing, TabularDataset, apply_saved_preprocessing
 from .errors import DegenerateDataError, DivergenceError, InputError
 from .network import (AdamState, LossWeights, NetworkParams, adam_step, backward,
                       batch_losses, build_network, corrupt, encode, parameter_vector,
@@ -167,11 +167,7 @@ class TrainedModel:
     network: NetworkParams | None
     svm: SvmModel
     train_config: TrainConfig | None
-    original_names: list[str]
-    kept_names: list[str]
-    medians: dict[str, float]
-    scaler: object
-    report: object
+    preprocessing: Preprocessing
     epoch_logs: list[EpochLog] = field(default_factory=list)
     # what the CLI records next to a bundle so later commands can replay the
     # split: the dataset spec and the preprocessing knobs
@@ -194,10 +190,7 @@ def train_pipeline(prepared: PreparedData, train_cfg: TrainConfig,
     svm_model = train_phase2(latents, svm_cfg)
     return TrainedModel(mode=train_cfg.mode, seed=train_cfg.seed, network=params,
                         svm=svm_model, train_config=train_cfg,
-                        original_names=prepared.original_names,
-                        kept_names=prepared.kept_names,
-                        medians=prepared.medians, scaler=prepared.scaler,
-                        report=prepared.report, epoch_logs=logs)
+                        preprocessing=prepared.preprocessing, epoch_logs=logs)
 
 
 def model_codes(model: TrainedModel, scaled_features: np.ndarray) -> np.ndarray:
@@ -211,6 +204,5 @@ def predict(model: TrainedModel, features_raw: np.ndarray) -> np.ndarray:
     """Classify raw rows: saved preprocessing, encoder (unless RawSVM),
     kernel decision. Decision value 0 resolves to +1, i.e. label 1.
     """
-    scaled = apply_saved_preprocessing(features_raw, model.original_names,
-                                       model.kept_names, model.medians, model.scaler)
+    scaled = apply_saved_preprocessing(features_raw, model.preprocessing)
     return predict_labels(model.svm, model_codes(model, scaled))

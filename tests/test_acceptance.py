@@ -262,14 +262,15 @@ def test_preprocessing_invariants(capsys, line_sweep):
     if prepared.train.provenance != "train" or prepared.test.provenance != "test":
         problems.append("split provenance tags wrong")
 
-    dropped = {name for name, _ in prepared.report.dropped_columns}
-    if set(prepared.kept_names) & dropped:
+    state = prepared.preprocessing
+    dropped = {name for name, _ in state.report.dropped_columns}
+    if set(state.kept_names) & dropped:
         problems.append("dropped columns leaked into kept names")
-    if set(prepared.kept_names) | dropped != set(prepared.original_names):
+    if set(state.kept_names) | dropped != set(state.original_names):
         problems.append("kept + dropped does not cover the original columns")
-    if sorted(prepared.medians) != sorted(prepared.kept_names):
+    if sorted(state.medians) != sorted(state.kept_names):
         problems.append("imputation medians not keyed by the kept columns")
-    if prepared.scaler.col_min.shape[0] != len(prepared.kept_names):
+    if state.scaler.col_min.shape[0] != len(state.kept_names):
         problems.append("scaler width mismatch")
 
     n_test = prepared.test.n_rows
@@ -280,6 +281,6 @@ def test_preprocessing_invariants(capsys, line_sweep):
     ok = not problems
     _report(capsys, "preprocessing-invariants", ok,
             "; ".join(problems) if problems else
-            f"{len(prepared.kept_names)} kept, {len(dropped)} dropped, "
+            f"{len(state.kept_names)} kept, {len(dropped)} dropped, "
             f"{counts['failure']}+{counts['success']} balanced train rows")
     assert ok, problems

@@ -263,7 +263,48 @@ def test_mismatched_replay_dataset_exits_four(workspace, trained, capsys):
                "--model", os.path.join(trained, "model.json"),
                "--out", str(workspace["root"] / "never4")])
     assert rc == 4
-    assert "different column set" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    # the census drops f1, most of it missing here, where the model kept it
+    for needle in ("different column set", "column 'f1' is dropped here (missing fraction 0.",
+                   "drop_threshold 0.3) but not in the model"):
+        assert needle in err
+
+
+def test_reordered_replay_dataset_exits_four(workspace, trained, capsys):
+    """Columns f0 and f1 swapped: the census keeps the same columns, in
+    another order than the bundle records."""
+    swapped = str(workspace["root"] / "swapped.csv")
+    with open(workspace["data"][len("csv:"):], encoding="utf-8") as src, \
+            open(swapped, "w", encoding="utf-8") as dst:
+        for line in src:
+            cells = line.split(",")
+            cells[1], cells[2] = cells[2], cells[1]
+            dst.write(",".join(cells))
+    rc = main(["eval", "--dataset", f"csv:{swapped}", "--seed", "5",
+               "--model", os.path.join(trained, "model.json"),
+               "--out", str(workspace["root"] / "never4b")])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "different column set than the model bundle records: the same columns, " \
+           "in another order or under other names" in err
+
+
+@pytest.mark.parametrize("kind, header", [("csv", "a,a,b,c,label"), ("tep", "a,a,b,c,fault")])
+def test_a_column_named_twice_exits_two_naming_it(workspace, capsys, kind, header):
+    """Every stage finds a column by its name, so a header that names one
+    twice is refused before it can map both to the same column."""
+    path = str(workspace["root"] / f"twice.{kind}")
+    rng = np.random.default_rng(0)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for i in range(200):
+            fh.write(",".join(repr(v) for v in rng.uniform(size=4)) + f",{i % 2}\n")
+    rc = main(["train", "--dataset", f"{kind}:{path}", "--out",
+               str(workspace["root"] / f"never_twice_{kind}")])
+    _assert_one_line_input_error(rc, capsys.readouterr().err,
+                                 f"{path}:1: column 'a' is named twice")
 
 
 def test_eval_without_any_dataset_is_input_error(workspace, trained, capsys):

@@ -7,7 +7,7 @@ from claire.data import (TabularDataset, apply_saved_preprocessing,
                          load_labeled_csv, load_secom, load_tep, oversample_minority,
                          read_table_cache, run_pipeline, stratified_split, table_digest,
                          write_table_cache)
-from claire.errors import DegenerateDataError, InputError, ShapeError, StateError
+from claire.errors import DegenerateDataError, InputError, ShapeError
 from claire.numerics import substream_seed
 from claire.synthetic import make_wide_line_dataset
 
@@ -149,20 +149,17 @@ def test_handle_missing_degenerate_cases():
 def test_scaler_round_trip_and_clipping():
     train = make_dataset([[0.0, 5.0], [10.0, 5.0]], [0, 1])
     state = fit_scaler(train)
-    scaled = apply_scaler(state, train)
-    assert np.allclose(scaled.features[:, 0], [0.0, 1.0])
-    assert np.allclose(scaled.features[:, 1], [0.5, 0.5])   # constant column
+    scaled = apply_scaler(state, train.features)
+    assert np.allclose(scaled[:, 0], [0.0, 1.0])
+    assert np.allclose(scaled[:, 1], [0.5, 0.5])   # constant column
     # out-of-range test values clip into [0, 1]
     test = make_dataset([[-5.0, 7.0], [20.0, 3.0]], [0, 1], ["c0", "c1"])
-    out = apply_scaler(state, test)
-    assert out.features.min() >= 0.0 and out.features.max() <= 1.0
-    assert np.allclose(out.features[:, 0], [0.0, 1.0])
+    out = apply_scaler(state, test.features)
+    assert out.min() >= 0.0 and out.max() <= 1.0
+    assert np.allclose(out[:, 0], [0.0, 1.0])
 
 
 def test_scaler_guards():
-    train = make_dataset([[0.0], [1.0]], [0, 1])
-    with pytest.raises(StateError):
-        apply_scaler(type(fit_scaler(train))(), train)     # unfitted state
     test_tagged = TabularDataset(np.zeros((2, 1)), np.zeros(2, dtype=int), ["c0"],
                                  provenance="test")
     with pytest.raises(InputError, match="test-tagged"):
@@ -254,10 +251,11 @@ def test_run_pipeline_invariants():
         assert split.features.min() >= 0.0 and split.features.max() <= 1.0
     counts = prep.train.class_counts()
     assert counts["failure"] == counts["success"]      # exact balance
-    assert prep.report.class_counts_after == counts
-    assert "c4" in [n for n, _ in prep.report.dropped_columns]
-    assert set(prep.medians) == set(prep.kept_names)
-    assert prep.original_names == ds.feature_names
+    state = prep.preprocessing
+    assert state.report.class_counts_after == counts
+    assert "c4" in [n for n, _ in state.report.dropped_columns]
+    assert set(state.medians) == set(state.kept_names)
+    assert state.original_names == ds.feature_names
     # split replays from the same substream seed
     handled, _ = handle_missing(ds, 0.30)
     train, test = stratified_split(handled, 0.2, substream_seed(9, "split"))
@@ -273,32 +271,35 @@ def test_run_pipeline_holds_at_most_three_tables():
     assert peak <= 3 * ds.features.nbytes
 
 
-def test_apply_saved_preprocessing_replays_pipeline():
+@pytest.mark.parametrize("table", ["messy", "line"])
+def test_apply_saved_preprocessing_replays_pipeline(table):
     # saved-state replay on the full raw matrix must equal imputing then
     # scaling directly: imputing at the median leaves the median unchanged,
     # so the stored medians reproduce handle_missing exactly
-    ds = _messy_dataset()
+    ds = _messy_dataset() if table == "messy" else make_wide_line_dataset()
     prep = run_pipeline(ds, seed=9)
-    replay = apply_saved_preprocessing(ds.features, prep.original_names,
-                                       prep.kept_names, prep.medians, prep.scaler)
+    state = prep.preprocessing
+    # training and the replay fill holes with the same values, bit for bit
+    assert state.report.imputed_columns
+    for name, median in state.report.imputed_columns:
+        assert np.float64(state.medians[name]).tobytes() == np.float64(median).tobytes(), name
+    replay = apply_saved_preprocessing(ds.features, state)
     handled, _ = handle_missing(ds, 0.30)
-    expected = apply_scaler(prep.scaler, handled).features
-    assert np.array_equal(replay, expected)
+    expected = apply_scaler(state.scaler, handled.features)
+    assert replay.tobytes() == expected.tobytes()
     # and the pipeline's own test rows are a subset of that replay
     train, test = stratified_split(handled, 0.2, substream_seed(9, "split"))
-    scaled_test = apply_scaler(prep.scaler, test).features
-    assert np.array_equal(scaled_test, prep.test.features)
+    scaled_test = apply_scaler(state.scaler, test.features)
+    assert scaled_test.tobytes() == prep.test.features.tobytes()
 
 
 def test_apply_saved_preprocessing_width_check():
     ds = _messy_dataset()
-    prep = run_pipeline(ds, seed=9)
+    state = run_pipeline(ds, seed=9).preprocessing
     with pytest.raises(ShapeError, match="expects 5 raw columns"):
-        apply_saved_preprocessing(np.zeros((2, 4)), prep.original_names,
-                                  prep.kept_names, prep.medians, prep.scaler)
-    one_row = apply_saved_preprocessing(ds.features[0], prep.original_names,
-                                        prep.kept_names, prep.medians, prep.scaler)
-    assert one_row.shape == (1, len(prep.kept_names))
+        apply_saved_preprocessing(np.zeros((2, 4)), state)
+    one_row = apply_saved_preprocessing(ds.features[0], state)
+    assert one_row.shape == (1, len(state.kept_names))
 
 
 # ---- the table cache ----

@@ -37,8 +37,8 @@ def test_round_trip_preserves_predictions_exactly(tmp_path):
     assert np.array_equal(model.svm.dual_coef, loaded.svm.dual_coef)
     assert model.svm.bias == loaded.svm.bias
     assert model.svm.kernel == loaded.svm.kernel
-    assert loaded.kept_names == model.kept_names
-    assert loaded.medians == model.medians
+    assert loaded.preprocessing.kept_names == model.preprocessing.kept_names
+    assert loaded.preprocessing.medians == model.preprocessing.medians
     assert loaded.epoch_logs == model.epoch_logs
     assert loaded.train_config.weights == model.train_config.weights
 
@@ -104,8 +104,7 @@ def test_package_predict_on_a_reloaded_bundle(tmp_path, mode):
     loaded = claire.load_bundle(path)
     raw = np.random.default_rng(3).uniform(0.0, 1.0, (40, 4))
     raw[::5, 1] = np.nan
-    scaled = claire.apply_saved_preprocessing(raw, loaded.original_names, loaded.kept_names,
-                                              loaded.medians, loaded.scaler)
+    scaled = claire.apply_saved_preprocessing(raw, loaded.preprocessing)
     got = claire.predict(loaded, raw)
     assert np.array_equal(got, claire.predict_labels(loaded.svm,
                                                      claire.model_codes(loaded, scaled)))

@@ -171,8 +171,8 @@ def test_end_to_end_pipeline_and_predict(mode):
                       hidden_widths=[8], seed=11)
     model = train_pipeline(prepared, cfg, SvmConfig(kernel=KernelSpec.rbf()))
     assert model.mode == mode
-    assert model.kept_names == ["v0", "v1", "v2", "v3"]
-    assert model.original_names == [f"v{j}" for j in range(5)]
+    assert model.preprocessing.kept_names == ["v0", "v1", "v2", "v3"]
+    assert model.preprocessing.original_names == [f"v{j}" for j in range(5)]
     if mode == "RawSVM":
         assert model.network is None
         assert model.epoch_logs == []
@@ -199,10 +199,7 @@ def test_train_pipeline_refuses_swapped_splits():
     ds = _raw_cloud_frame()
     prepared = run_pipeline(ds, drop_threshold=0.3, test_fraction=0.25, seed=11)
     swapped = type(prepared)(train=prepared.test, test=prepared.train,
-                             original_names=prepared.original_names,
-                             kept_names=prepared.kept_names,
-                             medians=prepared.medians, scaler=prepared.scaler,
-                             report=prepared.report)
+                             preprocessing=prepared.preprocessing)
     cfg = TrainConfig(mode="RawSVM", epochs=1, latent_dim=2, hidden_widths=[4], seed=0)
     with pytest.raises(InputError, match="test-tagged"):
         train_pipeline(swapped, cfg, SvmConfig())
