@@ -5,8 +5,10 @@ one entry of schema.SETTINGS (DATASET_KINDS for the dataset's fields),
 read by the schema's codecs: the defaults, then an optional JSON config
 ("claire-config/1"), then the flags, all checked before any data or model
 bundle is read, and the output directory right after them. Outputs are
-UTF-8 CSV/JSON files in the output directory, plus train's binary table
-cache (TABLE_CACHE), with no timestamps, so a re-run reproduces them.
+UTF-8 CSV/JSON files in the output directory, plus train's two binary
+caches, with no timestamps, so a re-run reproduces them: the table cache
+(TABLE_CACHE) and the bundle's sidecar (model_io.cache_path). A replay
+(eval, explain, project) reads both while their keys match.
 
 Exit codes: 0 success, 2 input or validation problem, 3 numeric
 divergence during training, 4 internal invariant breach.
@@ -28,7 +30,7 @@ from .errors import (ClaireError, ConditioningError, DegenerateDataError, InputE
 from .evaluate import compute_metrics, lda_fit, project_export
 from .explain import (class_conditional_importance, coalition_count, dependence_export,
                       explain_encoder, explain_plan, global_importance)
-from .model_io import REPORT, bundle_dict, load_bundle, write_json
+from .model_io import REPORT, bundle_dict, load_bundle, write_bundle, write_json
 from .network import LossWeights
 from .numerics import substream_seed
 from .schema import CONFIG, CONFIG_FORMAT, DATASET_KINDS, FILE, PREPROCESS, SETTINGS, read_document
@@ -204,7 +206,7 @@ def cmd_train(cfg: dict, args) -> int:
     model.preprocess = dict(cfg["preprocess"])
     model.dataset = cfg["dataset"]
     out = _out_dir(cfg)
-    write_json(os.path.join(out, "model.json"), bundle_dict(model))
+    write_bundle(os.path.join(out, "model.json"), bundle_dict(model))
     if model.epoch_logs:
         write_csv(os.path.join(out, "loss_history.csv"),
                   ["epoch", "l_recon", "l_latent", "l_clf", "l_ent", "l_total"],
@@ -246,13 +248,15 @@ def _replay(model: TrainedModel, cfg: dict, args) -> TabularDataset:
     p, threshold = model.preprocessing, model.preprocess["drop_threshold"]
     if raw.features.shape[1] == len(p.original_names):
         fraction, drop = data_mod.missing_census(raw.features, threshold)
-        if [raw.feature_names[j] for j in np.flatnonzero(~drop)] != p.kept_names:
-            j = next((j for j, name in enumerate(raw.feature_names)
-                      if drop[j] == (name in p.kept_names)), None)
-            why = ("the same columns, in another order or under other names" if j is None else
-                   f"column {raw.feature_names[j]!r} is {'dropped' if drop[j] else 'kept'} here "
-                   f"(missing fraction {float(fraction[j])!r}, drop_threshold {threshold!r}) "
-                   "but not in the model")
+        names = raw.feature_names
+        if names != p.original_names or [names[j] for j in np.flatnonzero(~drop)] != p.kept_names:
+            j = next((j for j, name in enumerate(names) if drop[j] == (name in p.kept_names)), None)
+            moved = next((f" (column {k} is {name!r} here, {p.original_names[k]!r} in the model)"
+                          for k, name in enumerate(names) if name != p.original_names[k]), "")
+            why = (f"column {names[j]!r} is {'dropped' if drop[j] else 'kept'} here (missing "
+                   f"fraction {float(fraction[j])!r}, drop_threshold {threshold!r}) but not in "
+                   "the model" if j is not None else
+                   "the same columns, in another order or under other names" + moved)
             raise ClaireError("replayed preprocessing kept a different column set than the model "
                               f"bundle records: {why}; the dataset does not match the one "
                               "trained on")

@@ -21,7 +21,8 @@ start of a file is skipped.
 A loaded table can be kept as a table cache (``write_table_cache``): its
 raw features, labels and names in one binary file, keyed by the digest of
 the loader's options and its source files' bytes. ``read_table_cache``
-gives the table back only while that key still matches.
+gives the table back only while that key still matches. It and the model
+bundle's sidecar are keyed records (``write_keyed``, ``read_keyed``).
 """
 from __future__ import annotations
 
@@ -352,23 +353,43 @@ def load_keyed(load: Callable[[], TabularDataset], loader: dict,
     return table, key if before is not None and _stamps(paths) == before else None
 
 
-def write_table_cache(path: str, key: bytes, table: TabularDataset) -> None:
-    """Write ``table`` (raw: NaN kept) to ``path`` as four consecutive
-    ``np.save`` records: the key, the features, the labels and the names as
-    UTF-8 JSON. It is written under a temporary name in the same directory
-    and then moved into place, so a reader sees the old file or the new."""
+def write_keyed(path: str, what: str, key: bytes, records) -> None:
+    """Write ``key``, then each array of ``records``, to ``path`` as ``np.save``
+    records, under a temporary name in the same directory that is then
+    moved into place, so a reader sees the old file or the new."""
     tmp = f"{path}.{os.getpid()}.tmp"
-    names = json.dumps(table.feature_names).encode()
     try:
         with open(tmp, "wb") as fh:
-            for record in (np.frombuffer(key, np.uint8), table.features, table.labels,
-                           np.frombuffer(names, np.uint8)):
+            for record in (np.frombuffer(key, np.uint8), *records):
                 np.save(fh, record, allow_pickle=False)
         os.replace(tmp, path)
     except OSError as exc:
         if os.path.exists(tmp):
             os.remove(tmp)
-        raise InputError(f"cannot write table cache {path}: {exc}") from exc
+        raise InputError(f"cannot write {what} {path}: {exc}") from exc
+
+
+def read_keyed(path: str, key: Callable[[], bytes | None], read: Callable):
+    """What ``read(record)`` returns, each ``record()`` reading the next
+    record of the file ``write_keyed`` wrote to ``path``, if the file's key
+    is ``key()`` (called only when the file exists); else None. A missing,
+    truncated or unreadable file is None, and so is one ``read`` fails on."""
+    try:
+        with open(path, "rb") as fh:
+            def record() -> np.ndarray:
+                return np.lib.format.read_array(fh, allow_pickle=False)
+            return read(record) if record().tobytes() == key() else None
+    except (OSError, ValueError, LookupError, TypeError, RecursionError, MemoryError,
+            ShapeError, InputError):        # MemoryError: a header claiming a huge shape
+        return None
+
+
+def write_table_cache(path: str, key: bytes, table: TabularDataset) -> None:
+    """Write ``table`` (raw: NaN kept) to ``path`` as ``write_keyed`` records:
+    the key, the features, the labels and the names as UTF-8 JSON."""
+    names = json.dumps(table.feature_names).encode()
+    write_keyed(path, "table cache", key,
+                (table.features, table.labels, np.frombuffer(names, np.uint8)))
 
 
 def read_table_cache(path: str, loader: dict, paths: list[str]) -> TabularDataset | None:
@@ -377,23 +398,13 @@ def read_table_cache(path: str, loader: dict, paths: list[str]) -> TabularDatase
     truncated or unreadable file, another key, a record of the wrong dtype
     or ndim, lengths that disagree and labels outside {0, 1} are all None.
     The sources are hashed only when the file exists."""
-    try:
-        with open(path, "rb") as fh:
-            key = np.lib.format.read_array(fh, allow_pickle=False)
-            if key.tobytes() != table_digest(loader, paths):
-                return None
-            features, labels, names = (np.lib.format.read_array(fh, allow_pickle=False)
-                                       for _ in range(3))
-            names = json.loads(names.tobytes())
-    except (OSError, ValueError):       # JSONDecodeError is a ValueError
-        return None
-    if (features.dtype != np.float64 or labels.dtype != np.int64
-            or not isinstance(names, list) or not all(isinstance(n, str) for n in names)):
-        return None
-    try:        # TabularDataset checks the ndims, the lengths and the labels
-        return TabularDataset(features, labels, names)
-    except (ShapeError, InputError):
-        return None
+    def table(record) -> TabularDataset | None:
+        features, labels, names = record(), record(), json.loads(record().tobytes())
+        if (features.dtype == np.float64 and labels.dtype == np.int64 and isinstance(names, list)
+                and all(isinstance(n, str) for n in names)):
+            # TabularDataset checks the ndims, the lengths and the labels
+            return TabularDataset(features, labels, names)
+    return read_keyed(path, lambda: table_digest(loader, paths), table)
 
 
 def missing_census(features: np.ndarray,

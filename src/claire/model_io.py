@@ -9,24 +9,34 @@ dataset and train_config blocks are read with the codecs the config
 declares for the same settings. Floats are written in shortest
 round-trip repr, so save -> load is bit exact. Number arrays are read by
 numpy in one pass, where true and false among numbers read as 1 and 0.
+
+A bundle write also writes a binary sidecar (``cache_path``) keyed by
+the SHA-256 of the bundle's bytes. ``load_bundle`` takes the float arrays
+from it while the key matches, else parses the JSON, the document of
+record; the same checks read the document either way.
 """
 from __future__ import annotations
 
+import hashlib
+import itertools
 import json
+import os
+from functools import reduce
 
 import numpy as np
 
-from .data import Preprocessing, PreprocessReport, ScalerState
+from .data import Preprocessing, PreprocessReport, ScalerState, read_keyed, write_keyed
 from .network import (ACTIVATIONS, Activation, BatchNormState, DenseLayer, DropoutState,
                       LossWeights, NetworkParams)
 from .schema import (COUNT, DATASET, FINITE, POSITIVE, PREPROCESS, SETTINGS,
-                     STRING, UNIT, _array, _choice, _Codec, _integer, _integers, _list,
-                     _mapping, _nullable, _number, _plain, _Refused, _section, _tag, _via,
-                     read_document)
+                     STRING, UNIT, _array, _choice, _Codec, _Floats, _integer, _integers,
+                     _list, _mapping, _nullable, _number, _plain, _Refused, _section, _tag,
+                     _via, read_document)
 from .svm import KERNELS, KernelSpec, SvmModel
 from .training import EpochLog, TrainConfig, TrainedModel
 
 MODEL_FORMAT = "claire-model/1"
+_CACHE_TAG = b"claire-model-cache/1\n"       # bump it whenever the sidecar's records change
 
 
 def _row(*fields) -> _Codec:
@@ -151,16 +161,65 @@ def bundle_dict(model: TrainedModel) -> dict:
     return _BUNDLE.dump(model)
 
 
-def write_json(path: str, doc: dict) -> None:
-    """The one JSON writer of the package, for bundles and reports alike."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+def write_json(path: str, doc: dict, tag: bytes = b"") -> bytes:
+    """The one JSON writer of the package, for bundles and reports alike.
+    Returns the SHA-256 of ``tag`` and the bytes written, hashed as they go."""
+    digest = hashlib.sha256(tag)
+    chunks = itertools.chain(json.JSONEncoder(indent=1).iterencode(doc), ["\n"])
+    with open(path, "wb") as fh:
+        while text := "".join(itertools.islice(chunks, 4096)):
+            data = text.encode()
+            fh.write(data)
+            digest.update(data)
+    return digest.digest()
+
+
+def cache_path(path: str) -> str:
+    """The bundle's sidecar: model.json's is model_cache.npy beside it."""
+    return os.path.splitext(path)[0] + "_cache.npy"
+
+
+def write_bundle(path: str, doc: dict) -> None:
+    """Write ``doc``, a ``bundle_dict``, to ``path`` and its sidecar: the key,
+    the document with each non-empty float array nulled and their paths as
+    UTF-8 JSON, then the arrays. ``[]`` stays, as JSON reads it as 1-D."""
+    key = write_json(path, doc, _CACHE_TAG)
+    paths, arrays = [], []
+
+    def split(node, at: list):
+        if isinstance(node, _Floats) and node:
+            paths.append(at)
+            arrays.append(np.ascontiguousarray(node.array))
+            return None
+        if isinstance(node, dict):
+            return {k: split(v, [*at, k]) for k, v in node.items()}
+        if isinstance(node, list):
+            return [split(v, [*at, i]) for i, v in enumerate(node)]
+        return node
+    skeleton = json.dumps([split(doc, []), paths]).encode()
+    write_keyed(cache_path(path), "model cache", key, [np.frombuffer(skeleton, np.uint8), *arrays])
+
+
+def _rebuild(record) -> dict | None:
+    """The document ``write_bundle`` split into records; None for an array not of float64."""
+    doc, paths = json.loads(record().tobytes())
+    for *steps, last in paths:
+        array = record()
+        if array.dtype != np.float64:
+            return None
+        reduce(lambda node, step: node[step], steps, doc)[last] = array
+    return doc
 
 
 def save_bundle(path: str, model: TrainedModel) -> None:
-    write_json(path, bundle_dict(model))
+    write_bundle(path, bundle_dict(model))
 
 
 def load_bundle(path: str) -> TrainedModel:
-    return read_document(_BUNDLE, path, "model bundle", MODEL_FORMAT)
+    """The bundle at ``path``, read once: rebuilt from its sidecar while the
+    sidecar's key is the digest of its bytes, else parsed from them."""
+    def cached(data: bytes) -> dict | None:
+        key = hashlib.sha256(_CACHE_TAG)
+        key.update(data)
+        return read_keyed(cache_path(path), key.digest, _rebuild)
+    return read_document(_BUNDLE, path, "model bundle", MODEL_FORMAT, cached=cached)

@@ -10,6 +10,7 @@ may be written as an integral number (2.0 is 2, while 1.7 is refused).
 """
 from __future__ import annotations
 
+import io
 import json
 import math
 import reprlib
@@ -98,6 +99,15 @@ def _either(test, codec: _Codec, text: str) -> _Codec:
     return _plain(lambda v: True, text, lambda v: v if test(v) else codec.load(v))
 
 
+class _Floats(list):
+    """A float64 array's JSON list that keeps the array, for the model
+    bundle's sidecar (``model_io.write_bundle``) to write in its place."""
+
+    def __init__(self, a):
+        self.array = np.asarray(a, dtype=np.float64)
+        super().__init__(self.array.tolist())
+
+
 def _array(ndim: int, low: float = -math.inf) -> _Codec:
     """A float64 array of ``ndim`` dimensions of finite numbers >= ``low``."""
     text = f"a {ndim}-D array of finite numbers" + (f" >= {low:g}" if low > -math.inf else "")
@@ -111,7 +121,7 @@ def _array(ndim: int, low: float = -math.inf) -> _Codec:
         except (TypeError, ValueError, OverflowError):
             pass
         _refuse(text, value)
-    return _Codec(lambda a: np.asarray(a, dtype=np.float64).tolist(), load, text)
+    return _Codec(_Floats, load, text)
 
 
 def _nullable(codec: _Codec) -> _Codec:
@@ -283,17 +293,22 @@ CONFIG = _section(dict, [("format", None, _tag(CONFIG_FORMAT), CONFIG_FORMAT), *
 
 
 def read_document(codec: _Codec, path: str | None, what: str, fmt: str,
-                  overrides: dict | None = None, name: Callable[[str], str] | None = None):
+                  overrides: dict | None = None, name: Callable[[str], str] | None = None,
+                  cached: Callable[[bytes], dict | None] | None = None):
     """What ``codec`` reads from the JSON object in file ``path`` (or {}), a
     ``what`` tagged ``fmt``, with each of ``overrides`` placed at its dotted
-    path. Each fault is one InputError line: a file that cannot be read or
+    path; ``cached(the file's bytes)``, when it is not None, replaces the
+    parse. Each fault is one InputError line: a file that cannot be read or
     parsed (too deep or with a too long integer, too), or a value refused
     at a path that ``name`` words ("WHAT PATH: PATH" by default)."""
     doc = {}
     if path is not None:
         try:
-            with open(path, encoding="utf-8") as fh:
-                doc = json.load(fh)
+            with open(path, "rb") as fh:
+                data = fh.read()
+            # parsed as json.load(open(path, encoding="utf-8")) would
+            doc = (cached and cached(data)) or json.load(
+                io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
         except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read {what} {path}: {exc}") from exc
         except (ValueError, RecursionError) as exc:

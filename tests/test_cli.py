@@ -291,6 +291,24 @@ def test_reordered_replay_dataset_exits_four(workspace, trained, capsys):
            "in another order or under other names" in err
 
 
+def test_bundle_with_swapped_original_names_exits_four(workspace, trained, tmp_path, capsys):
+    """Two kept names swapped in the bundle's original_feature_names: the
+    census keeps the same columns, but the bundle would read f0 as f1."""
+    doc = json.load(open(os.path.join(trained, "model.json")))
+    names = doc["preprocessing"]["original_feature_names"]
+    assert names[:2] == ["f0", "f1"]
+    names[:2] = ["f1", "f0"]
+    bundle = tmp_path / "model.json"
+    bundle.write_text(json.dumps(doc))
+    rc = main(["eval", "--dataset", workspace["data"], "--model", str(bundle),
+               "--out", str(tmp_path / "out")])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert ("different column set than the model bundle records: the same columns, in another "
+            "order or under other names (column 0 is 'f0' here, 'f1' in the model)") in err
+
+
 @pytest.mark.parametrize("kind, header", [("csv", "a,a,b,c,label"), ("tep", "a,a,b,c,fault")])
 def test_a_column_named_twice_exits_two_naming_it(workspace, capsys, kind, header):
     """Every stage finds a column by its name, so a header that names one
@@ -401,6 +419,27 @@ def test_explain_reads_dataset_once(workspace, trained, monkeypatch, tmp_path):
                    "--out", str(workspace["root"] / "explain_once")])
         assert rc == 0
         assert len(calls) == want
+
+
+@pytest.mark.parametrize("command", [["eval"], ["explain", "--n-eval", "2",
+                                                 "--n-background", "10"]])
+def test_replay_reads_the_bundle_once(trained, monkeypatch, tmp_path, bundle_parses, command):
+    """One open of model.json, and no JSON parse of it beside its sidecar:
+    the config is left out, so each json.load is the bundle's."""
+    import builtins
+    import shutil
+    opened = []
+    real = builtins.open
+    monkeypatch.setattr(builtins, "open",
+                        lambda file, *a, **kw: opened.append(file) or real(file, *a, **kw))
+    bare = tmp_path / "model.json"
+    shutil.copy(os.path.join(trained, "model.json"), bare)
+    for bundle, parses in ((os.path.join(trained, "model.json"), 0), (str(bare), 1)):
+        opened.clear()
+        bundle_parses.clear()
+        assert main([*command, "--model", bundle, "--out", str(tmp_path / "out")]) == 0
+        assert opened.count(bundle) == 1
+        assert len(bundle_parses) == parses
 
 
 def test_bad_tep_fault_filter_is_input_error(workspace, capsys):
@@ -1221,11 +1260,11 @@ def parses(monkeypatch):
     return calls
 
 
-def _replay_all(case, model, spec, out, capsys):
+def _replay_all(case, model, spec, out, capsys, replays=REPLAYS):
     """Each replay command's exit code and stderr, and every file written
     under ``out``, by its path there."""
     got = {}
-    for name, argv in REPLAYS.items():
+    for name, argv in replays.items():
         rc = main([*argv, "--model", os.path.join(model, "model.json"), "--dataset", spec,
                    "--config", case["config"], "--seed", "5",
                    "--out", os.path.join(out, name)])
@@ -1359,3 +1398,140 @@ def test_train_writes_no_cache_from_a_source_that_changed_while_read(workspace, 
     assert main([*argv, "--out", str(tmp_path / "moved")]) == 0
     assert not (tmp_path / "moved" / "table_cache.npy").exists()
     assert (tmp_path / "moved" / "model.json").exists()
+
+
+# ---- the bundle's sidecar: model.json's float arrays, keyed by its bytes ----
+
+SIDECAR_REPLAYS = {"eval_all": ["eval", "--split", "all"], "explain": ["explain", "--n-eval", "1"],
+                   "project": ["project"]}
+
+
+@pytest.fixture
+def bundle_parses(monkeypatch):
+    """The JSON parses made, one entry per json.load call."""
+    calls = []
+    real = json.load
+    monkeypatch.setattr(json, "load", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    return calls
+
+
+def _bare_copy(case, dst):
+    """The case's model directory without the bundle's sidecar."""
+    dst = _copy_model(case, dst)
+    os.remove(os.path.join(dst, "model_cache.npy"))
+    return dst
+
+
+def _load_bytes(bundle):
+    import pickle
+    from claire.model_io import load_bundle
+    return pickle.dumps(load_bundle(bundle))
+
+
+def _sidecar_records(path):
+    """Every np.save record of a sidecar, in order."""
+    records = []
+    with open(path, "rb") as fh:
+        while fh.peek(1):
+            records.append(np.lib.format.read_array(fh, allow_pickle=False))
+    return records
+
+
+@pytest.mark.parametrize("kind", ["tep", "secom"])
+def test_sidecar_hit_loads_and_replays_what_the_json_gives(cached, tmp_path, capsys,
+                                                           bundle_parses, kind):
+    case = cached[kind]
+    bare = _bare_copy(case, tmp_path / "bare")
+    hit = _load_bytes(os.path.join(case["model"], "model.json"))
+    assert bundle_parses == []
+    assert hit == _load_bytes(os.path.join(bare, "model.json"))
+    assert len(bundle_parses) == 1
+    got = _replay_all(case, case["model"], case["spec"], str(tmp_path / "hit"), capsys,
+                      SIDECAR_REPLAYS)
+    want = _replay_all(case, bare, case["spec"], str(tmp_path / "miss"), capsys,
+                       SIDECAR_REPLAYS)
+    assert all(got[name][0] == 0 for name in SIDECAR_REPLAYS)
+    assert len(got) > 2 * len(SIDECAR_REPLAYS) and got == want
+
+
+def test_one_byte_edit_of_the_bundle_misses_its_sidecar(cached, tmp_path, bundle_parses):
+    case = cached["secom"]
+    model = _copy_model(case, tmp_path / "edited")
+    bundle = os.path.join(model, "model.json")
+    text = bytearray(open(bundle, "rb").read())
+    at = text.index(b'"weights"')
+    at += next(i for i, c in enumerate(text[at:]) if c in b"12345678")
+    text[at] += 1                                    # one digit of encoder[0].weights
+    open(bundle, "wb").write(text)
+    bare = os.path.join(_bare_copy(case, tmp_path / "bare"), "model.json")
+    open(bare, "wb").write(text)
+    edited = _load_bytes(bundle)
+    assert len(bundle_parses) == 1
+    assert edited == _load_bytes(bare)
+    assert edited != _load_bytes(os.path.join(case["model"], "model.json"))
+
+
+@pytest.mark.parametrize("change", ["truncated", "garbage", "other_key", "int32", "deep",
+                                    "huge_header"])
+def test_bad_sidecar_falls_back_to_the_json_silently(cached, tmp_path, capsys, bundle_parses,
+                                                     change):
+    import hashlib
+    from claire.data import write_keyed
+    case = cached["secom"]
+    model = _copy_model(case, tmp_path / "model")
+    sidecar = os.path.join(model, "model_cache.npy")
+    key, skeleton, *arrays = _sidecar_records(sidecar)
+    if change == "truncated":
+        with open(sidecar, "r+b") as fh:
+            fh.truncate(os.path.getsize(sidecar) - 1)
+    elif change == "garbage":
+        with open(sidecar, "wb") as fh:
+            fh.write(b"\x93NUMPY garbage" * 100)
+    elif change == "huge_header":           # more bytes than any address space holds
+        with open(sidecar, "wb") as fh:
+            np.save(fh, key, allow_pickle=False)
+            np.lib.format.write_array_header_1_0(
+                fh, {"descr": "|u1", "fortran_order": False, "shape": (10 ** 15,)})
+    else:
+        if change == "other_key":
+            key = np.frombuffer(hashlib.sha256(b"another bundle").digest(), np.uint8)
+        elif change == "int32":
+            arrays = [a.astype(np.int32) for a in arrays]
+        else:
+            skeleton = np.frombuffer(b"[" * 100_000, np.uint8)
+        write_keyed(sidecar, "model cache", key.tobytes(), [skeleton, *arrays])
+    assert _load_bytes(os.path.join(model, "model.json")) == _load_bytes(
+        os.path.join(_bare_copy(case, tmp_path / "bare"), "model.json"))
+    assert len(bundle_parses) == 2
+    got = _replay_all(case, model, case["spec"], str(tmp_path / "got"), capsys,
+                      SIDECAR_REPLAYS)
+    assert all(got[name] == (0, "") for name in SIDECAR_REPLAYS)
+    assert got == _replay_all(case, case["model"], case["spec"], str(tmp_path / "want"), capsys,
+                              SIDECAR_REPLAYS)
+
+
+def test_forged_sidecar_with_the_right_key_is_checked(cached, tmp_path, capsys):
+    """A NaN in a sidecar whose key matches is refused as in the JSON: the
+    document rebuilt from the sidecar goes through every check."""
+    from claire.data import write_keyed
+    model = _copy_model(cached["secom"], tmp_path / "model")
+    sidecar = os.path.join(model, "model_cache.npy")
+    key, skeleton, *arrays = _sidecar_records(sidecar)
+    paths = json.loads(skeleton.tobytes())[1]
+    arrays[paths.index(["network", "encoder", 0, "weights"])][0, 0] = math.nan
+    write_keyed(sidecar, "model cache", key.tobytes(), [skeleton, *arrays])
+    bundle = os.path.join(model, "model.json")
+    rc = main(["eval", "--model", bundle, "--out", str(tmp_path / "out")])
+    _assert_one_line_input_error(rc, capsys.readouterr().err,
+                                 f"{bundle}: network.encoder[0].weights must be a 2-D array")
+
+
+@pytest.mark.parametrize("kind", ["tep", "secom"])
+def test_retraining_writes_the_same_sidecar(cached, tmp_path, kind):
+    case = cached[kind]
+    out = str(tmp_path / "again")
+    assert main(["train", "--dataset", case["spec"], "--config", case["config"],
+                 "--seed", "5", "--out", out]) == 0
+    assert (open(os.path.join(out, "model_cache.npy"), "rb").read()
+            == open(os.path.join(case["model"], "model_cache.npy"), "rb").read())
+    assert not [name for name in os.listdir(out) if name.endswith(".tmp")]

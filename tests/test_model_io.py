@@ -1,4 +1,8 @@
 """Bundle round trips: save -> load must preserve behavior bit for bit."""
+import json
+import os
+import pickle
+
 import numpy as np
 import pytest
 
@@ -109,3 +113,34 @@ def test_package_predict_on_a_reloaded_bundle(tmp_path, mode):
     assert np.array_equal(got, claire.predict_labels(loaded.svm,
                                                      claire.model_codes(loaded, scaled)))
     assert set(got.tolist()) == {0, 1}
+
+
+def test_each_bundle_in_a_directory_has_its_own_sidecar(tmp_path, monkeypatch):
+    """model.json's sidecar is model_cache.npy, so a second bundle beside it
+    keeps its own; each loads the same with its sidecar as without."""
+    parsed = []
+    real = json.load
+    monkeypatch.setattr(json, "load", lambda *a, **kw: parsed.append(a) or real(*a, **kw))
+    for name, mode in (("a", "CLAIRE"), ("b", "RawSVM")):
+        save_bundle(str(tmp_path / f"{name}.json"), _small_model(mode))
+    assert sorted(os.listdir(tmp_path)) == ["a.json", "a_cache.npy", "b.json", "b_cache.npy"]
+    for name in "ab":
+        hit = pickle.dumps(load_bundle(str(tmp_path / f"{name}.json")))
+        os.remove(tmp_path / f"{name}_cache.npy")
+        assert pickle.dumps(load_bundle(str(tmp_path / f"{name}.json"))) == hit
+    assert len(parsed) == 2                      # only the loads without a sidecar parse
+
+
+def test_an_empty_array_is_refused_with_and_without_the_sidecar(tmp_path):
+    """JSON writes a (0, k) array as [], which reads back as 1-D and is
+    refused; the sidecar keeps that [] in its document, so it is refused too."""
+    model = _small_model()
+    model.svm.support_vectors = np.empty((0, model.svm.support_vectors.shape[1]))
+    path = str(tmp_path / "model.json")
+    save_bundle(path, model)
+    with pytest.raises(InputError, match="svm.support_vectors must be a 2-D array") as hit:
+        load_bundle(path)
+    os.remove(tmp_path / "model_cache.npy")
+    with pytest.raises(InputError) as miss:
+        load_bundle(path)
+    assert str(hit.value) == str(miss.value)
