@@ -143,10 +143,13 @@ def build_svm_config(cfg: dict) -> SvmConfig:
 def write_csv(path: str, header: list[str], rows) -> None:
     """Rows of Python ints, floats and strings (``.tolist()`` values, not
     numpy scalars); a float is written as its shortest round-trip repr."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def _prepare(cfg: dict, raw: TabularDataset):

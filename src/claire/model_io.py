@@ -10,6 +10,11 @@ declares for the same settings. Floats are written in shortest
 round-trip repr, so save -> load is bit exact. Number arrays are read by
 numpy in one pass, where true and false among numbers read as 1 and 0.
 
+``write_json`` writes every document of the package, bundles and reports,
+as compact JSON (no whitespace between tokens, one trailing newline),
+streamed a row at a time through json's C encoder. The indented bundles
+of earlier versions still load: whitespace is free in JSON.
+
 A bundle write also writes a binary sidecar (``cache_path``) keyed by
 the SHA-256 of the bundle's bytes. ``load_bundle`` takes the float arrays
 from it while the key matches, else parses the JSON, the document of
@@ -18,7 +23,6 @@ record; the same checks read the document either way.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import os
 from functools import reduce
@@ -26,6 +30,7 @@ from functools import reduce
 import numpy as np
 
 from .data import Preprocessing, PreprocessReport, ScalerState, read_keyed, write_keyed
+from .errors import InputError
 from .network import (ACTIVATIONS, Activation, BatchNormState, DenseLayer, DropoutState,
                       LossWeights, NetworkParams)
 from .schema import (COUNT, DATASET, FINITE, POSITIVE, PREPROCESS, SETTINGS,
@@ -161,16 +166,45 @@ def bundle_dict(model: TrainedModel) -> dict:
     return _BUNDLE.dump(model)
 
 
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _pieces(node):
+    """The compact JSON text of ``node``, in pieces. A scalar, or a list or
+    object of scalars only (a weight row, a name list), is one call of the
+    C encoder; the lists and objects around them are walked here, so no
+    piece is longer than one row."""
+    if isinstance(node, dict) and not _SCALARS.issuperset(map(type, node.values())):
+        for i, (key, value) in enumerate(node.items()):
+            yield ("," if i else "{") + _COMPACT.encode({key: 0})[1:-2]    # '"key":'
+            yield from _pieces(value)
+        yield "}"
+    elif isinstance(node, (list, tuple)) and not _SCALARS.issuperset(map(type, node)):
+        for i, value in enumerate(node):
+            yield "," if i else "["
+            yield from _pieces(value)
+        yield "]"
+    else:
+        yield _COMPACT.encode(node)
+
+
 def write_json(path: str, doc: dict, tag: bytes = b"") -> bytes:
-    """The one JSON writer of the package, for bundles and reports alike.
-    Returns the SHA-256 of ``tag`` and the bytes written, hashed as they go."""
+    """The one JSON writer of the package, for bundles and reports alike:
+    the bytes of ``json.dumps(doc, separators=(",", ":"))`` and a newline,
+    written piece by piece. Returns the SHA-256 of ``tag`` and those bytes,
+    hashed as they go."""
     digest = hashlib.sha256(tag)
-    chunks = itertools.chain(json.JSONEncoder(indent=1).iterencode(doc), ["\n"])
-    with open(path, "wb") as fh:
-        while text := "".join(itertools.islice(chunks, 4096)):
-            data = text.encode()
-            fh.write(data)
-            digest.update(data)
+    try:
+        with open(path, "wb") as fh:
+            for text in _pieces(doc):
+                data = text.encode()
+                fh.write(data)
+                digest.update(data)
+            fh.write(b"\n")
+            digest.update(b"\n")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
     return digest.digest()
 
 

@@ -136,7 +136,8 @@ def write_line_files(features_path: str, labels_path: str,
     """Write the whitespace features file and the -1/1 label file, row by row."""
     with open(features_path, "w", encoding="utf-8") as fh:
         for row in ds.features:
-            fh.write(" ".join(["NaN" if v != v else repr(v) for v in row.tolist()]) + "\n")
+            # repr spells NaN "nan", and no other float's repr holds those letters
+            fh.write(" ".join(map(repr, row.tolist())).replace("nan", "NaN") + "\n")
     with open(labels_path, "w", encoding="utf-8") as fh:
         for i, label in enumerate(ds.labels.tolist()):
             raw = -1 if label == 1 else 1
@@ -149,4 +150,4 @@ def write_process_file(path: str, x: np.ndarray, fault_col: np.ndarray,
         if header:
             fh.write(",".join([f"var_{j}" for j in range(x.shape[1])] + ["fault"]) + "\n")
         for row, cls in zip(x, fault_col.tolist()):
-            fh.write(",".join([repr(v) for v in row.tolist()]) + f",{int(cls)}\n")
+            fh.write(",".join(map(repr, row.tolist())) + f",{int(cls)}\n")

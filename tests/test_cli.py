@@ -1212,6 +1212,19 @@ def test_eval_output_dir_that_is_a_file_exits_two(workspace, trained, tmp_path, 
     assert blocker.read_text() == "x"
 
 
+@pytest.mark.parametrize("command,name", [("train", "model.json"), ("eval", "metrics.json"),
+                                          ("explain", "attributions.csv"),
+                                          ("project", "lda_projection.csv")])
+def test_output_file_that_cannot_be_opened_exits_two_naming_it(workspace, trained, tmp_path,
+                                                               capsys, command, name):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    model = [] if command == "train" else ["--model", os.path.join(trained, "model.json")]
+    rc = main([command, "--dataset", workspace["data"], "--config", workspace["config"],
+               "--seed", "5", *model, "--out", str(out)])
+    _assert_one_line_input_error(rc, capsys.readouterr().err, f"cannot write {out / name}: ")
+
+
 # ---- the table cache: train's parsed table, replayed by eval, explain and project ----
 
 CACHE_CONFIG = {"format": "claire-config/1",
@@ -1535,3 +1548,34 @@ def test_retraining_writes_the_same_sidecar(cached, tmp_path, kind):
     assert (open(os.path.join(out, "model_cache.npy"), "rb").read()
             == open(os.path.join(case["model"], "model_cache.npy"), "rb").read())
     assert not [name for name in os.listdir(out) if name.endswith(".tmp")]
+
+
+@pytest.mark.parametrize("sidecar", [False, True], ids=["bare", "sidecar"])
+@pytest.mark.parametrize("kind", ["tep", "secom"])
+def test_an_indented_bundle_loads_and_replays_as_the_compact_one(cached, tmp_path, capsys,
+                                                                 bundle_parses, kind, sidecar):
+    """claire-model/1 bundles were once written with indent=1: such a
+    bundle, bare or with the sidecar keyed to its bytes, loads to the same
+    model as the compact one and replays to the same files."""
+    import hashlib
+    from claire.data import write_keyed
+    from claire.model_io import _CACHE_TAG
+    case = cached[kind]
+    model = _copy_model(case, tmp_path / "indented")
+    bundle, cache = os.path.join(model, "model.json"), os.path.join(model, "model_cache.npy")
+    text = (json.dumps(json.loads(open(bundle, "rb").read()), indent=1) + "\n").encode()
+    assert len(text) > len(open(bundle, "rb").read())
+    open(bundle, "wb").write(text)
+    _, *records = _sidecar_records(cache)
+    if sidecar:
+        write_keyed(cache, "model cache", hashlib.sha256(_CACHE_TAG + text).digest(), records)
+    else:
+        os.remove(cache)
+    assert _load_bytes(bundle) == _load_bytes(os.path.join(case["model"], "model.json"))
+    assert len(bundle_parses) == (0 if sidecar else 1)
+    got = _replay_all(case, model, case["spec"], str(tmp_path / "got"), capsys,
+                      SIDECAR_REPLAYS)
+    want = _replay_all(case, case["model"], case["spec"], str(tmp_path / "want"), capsys,
+                       SIDECAR_REPLAYS)
+    assert all(got[name] == (0, "") for name in SIDECAR_REPLAYS)
+    assert len(got) > 2 * len(SIDECAR_REPLAYS) and got == want

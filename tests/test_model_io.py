@@ -1,17 +1,21 @@
 """Bundle round trips: save -> load must preserve behavior bit for bit."""
+import hashlib
 import json
+import math
 import os
 import pickle
 
 import numpy as np
 import pytest
 
-from claire.data import PreprocessReport, run_pipeline, TabularDataset
+from claire.data import PreprocessReport, load_tep, run_pipeline, TabularDataset
 from claire.errors import InputError
-from claire.model_io import MODEL_FORMAT, REPORT, bundle_dict, load_bundle, save_bundle
+from claire.model_io import (MODEL_FORMAT, REPORT, bundle_dict, load_bundle, save_bundle,
+                             write_bundle, write_json)
 from claire.svm import KernelSpec
+from claire.synthetic import make_process_dataset, make_wide_line_dataset, write_process_file
 from claire.training import SvmConfig, TrainConfig, predict, train_pipeline
-from conftest import named_parameters
+from conftest import named_parameters, peak_bytes
 
 
 def _small_model(mode="CLAIRE", seed=17):
@@ -144,3 +148,43 @@ def test_an_empty_array_is_refused_with_and_without_the_sidecar(tmp_path):
     with pytest.raises(InputError) as miss:
         load_bundle(path)
     assert str(hit.value) == str(miss.value)
+
+
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    """Documents write_json writes: the bundle of a one-epoch model on each
+    default synthetic table, the process model's preprocess report, and a
+    document of the shapes the bundles do not hold."""
+    path = str(tmp_path_factory.mktemp("process") / "process.csv")
+    write_process_file(path, *make_process_dataset())
+    docs = {}
+    for name, ds in (("line", make_wide_line_dataset()), ("process", load_tep(path, None))):
+        prepared = run_pipeline(ds, drop_threshold=0.3, test_fraction=0.2, seed=1)
+        model = train_pipeline(prepared, TrainConfig(mode="CLAIRE", epochs=1, seed=1),
+                               SvmConfig())
+        docs[name] = bundle_dict(model)
+    docs["report"] = REPORT.dump(model.preprocessing.report)
+    docs["shapes"] = {"a": [[1.5, [2, {"k": None}]], [], {}, [[]]], 3: {"x": [True, "é\n"]},
+                      "n": [math.nan, -0.0, 1e300, -math.inf], "t": (1, (2,)),
+                      2.5: [{"": []}], "s": "\u2028\"", "": {}}
+    return docs
+
+
+@pytest.mark.parametrize("name", ["line", "process", "report", "shapes"])
+def test_write_json_writes_compact_json_and_its_digest(written, tmp_path, name):
+    doc = written[name]
+    path = str(tmp_path / "doc.json")
+    key = write_json(path, doc, b"tag\n")
+    data = open(path, "rb").read()
+    assert data == (json.dumps(doc, separators=(",", ":")) + "\n").encode()
+    assert key == hashlib.sha256(b"tag\n" + data).digest()
+
+
+def test_write_bundle_holds_no_more_than_a_few_rows_of_text(written, tmp_path):
+    """The writer streams the text row by row: a one-shot json.dumps of the
+    line bundle would hold its whole text, and its bytes, at once."""
+    doc = written["line"]
+    text = len(json.dumps(doc, separators=(",", ":")))
+    assert text > 4 << 20
+    assert peak_bytes(lambda: write_bundle(str(tmp_path / "model.json"), doc)) <= 1 << 20
+
