@@ -8,7 +8,8 @@ bundle is read, and the output directory right after them. Outputs are
 UTF-8 CSV/JSON files in the output directory, plus train's two binary
 caches, with no timestamps, so a re-run reproduces them: the table cache
 (TABLE_CACHE) and the bundle's sidecar (model_io.cache_path). A replay
-(eval, explain, project) reads both while their keys match.
+(eval, explain, project) reads both while their keys match, picks its
+rows by the model's split and preprocesses only those.
 
 Exit codes: 0 success, 2 input or validation problem, 3 numeric
 divergence during training, 4 internal invariant breach.
@@ -24,13 +25,15 @@ import traceback
 import numpy as np
 
 from . import data as data_mod
-from .data import Preprocessing, TabularDataset, stratified_split
+from .data import Preprocessing, TabularDataset
+from .data import stratified_split  # noqa: F401 (perfbench/layers.py times it here)
 from .errors import (ClaireError, ConditioningError, DegenerateDataError, InputError,
                      NumericError, ShapeError, StateError)
 from .evaluate import compute_metrics, lda_fit, project_export
 from .explain import (class_conditional_importance, coalition_count, dependence_export,
                       explain_encoder, explain_plan, global_importance)
-from .model_io import REPORT, bundle_dict, load_bundle, write_bundle, write_json
+from .model_io import (REPORT, bundle_dict, cache_path, load_bundle, write_bundle,
+                       write_json)
 from .network import LossWeights
 from .numerics import substream_seed
 from .schema import CONFIG, CONFIG_FORMAT, DATASET_KINDS, FILE, PREPROCESS, SETTINGS, read_document
@@ -167,15 +170,37 @@ def _out_dir(cfg: dict) -> str:
     return out
 
 
-def _check_out_dir(cfg: dict) -> None:
-    """Refuse an output directory that ``_out_dir`` could not create because
-    it, or the nearest of its parents that exists, is not a directory."""
+def _outputs(command: str, cfg: dict) -> list[str]:
+    """The files ``command`` writes in the output directory."""
+    if command == "explain":
+        beeswarms = [f"beeswarm_dim_{dim}.csv" for dim in cfg["explain"]["beeswarm_dims"]]
+        return ["attributions.csv", "base_values.json", "importance_global.csv",
+                "importance_class.csv", *beeswarms, "dependence.csv"]
+    return {"preprocess": ["train.csv", "test.csv", "preprocess_report.json"],
+            "train": ["model.json", cache_path("model.json"), "loss_history.csv",
+                      "preprocess_report.json", TABLE_CACHE],
+            "eval": ["metrics.json"],
+            "project": ["lda_projection.csv", "lda_summary.json"]}[command]
+
+
+def _check_out_dir(cfg: dict, command: str) -> None:
+    """Refuse, before any data is read, an output directory that ``_out_dir``
+    could not create because it, or the nearest of its parents that
+    exists, is not a directory; and an output file of ``command`` that is
+    a directory or that cannot be written."""
     out = cfg["output_dir"]
     path = os.path.abspath(out)
     while not os.path.exists(path):
         path = os.path.dirname(path)
     if not os.path.isdir(path):
         raise InputError(f"cannot create output directory {out}: {path} is not a directory")
+    for name in _outputs(command, cfg):
+        target = os.path.join(out, name)
+        where = target if os.path.lexists(target) else path
+        if os.path.isdir(target):
+            raise InputError(f"cannot write {target}: it is a directory")
+        if not os.access(where, os.W_OK):
+            raise InputError(f"cannot write {target}: {where} is not writable")
 
 
 def _train_table(cfg: dict) -> TabularDataset:
@@ -239,9 +264,10 @@ def _bundle_path(cfg: dict, args) -> str:
 
 
 def _replay(model: TrainedModel, cfg: dict, args) -> TabularDataset:
-    """Every row of the dataset, scaled with the preprocessing state stored
-    in the bundle. The raw table comes from the table cache beside the
-    bundle when its key matches the dataset, else from the loader.
+    """Every raw row of the dataset, once its columns are checked against
+    the ones the bundle's preprocessing kept. The raw table comes from the
+    table cache beside the bundle when its key matches the dataset, else
+    from the loader.
     """
     ds = _dataset(cfg["dataset"] or model.dataset)
     cache = os.path.join(os.path.dirname(_bundle_path(cfg, args)), TABLE_CACHE)
@@ -263,24 +289,30 @@ def _replay(model: TrainedModel, cfg: dict, args) -> TabularDataset:
             raise ClaireError("replayed preprocessing kept a different column set than the model "
                               f"bundle records: {why}; the dataset does not match the one "
                               "trained on")
-    scaled = data_mod.apply_saved_preprocessing(raw.features, p)
-    return TabularDataset(scaled, raw.labels, list(p.kept_names))
+    return raw
 
 
-def _split(model: TrainedModel, rows: TabularDataset) -> tuple[TabularDataset, TabularDataset]:
-    """The train and test splits of replayed rows, as the model saw them."""
-    return stratified_split(rows, model.preprocess["test_fraction"],
-                            substream_seed(model.seed, "split"))
+def _split_rows(model: TrainedModel, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The indices of the train and test rows of the replayed table, as the
+    model's split drew them."""
+    test = data_mod.stratified_test_mask(labels, model.preprocess["test_fraction"],
+                                         substream_seed(model.seed, "split"))
+    return np.flatnonzero(~test), np.flatnonzero(test)
+
+
+def _scaled(model: TrainedModel, raw: TabularDataset, rows) -> np.ndarray:
+    """The raw table's ``rows`` (an index array or slice), preprocessed as
+    the model's training rows were."""
+    return data_mod.apply_saved_preprocessing(raw.features[rows], model.preprocessing)
 
 
 def _replay_codes(cfg: dict, args) -> tuple[TrainedModel, np.ndarray, np.ndarray]:
     """The model, and its codes and the labels of the requested split."""
     model = _load_model(cfg, args)
-    rows = _replay(model, cfg, args)
-    if args.split != "all":
-        train, test = _split(model, rows)
-        rows = train if args.split == "train" else test
-    return model, model_codes(model, rows.features), rows.labels
+    raw = _replay(model, cfg, args)
+    rows = (slice(None) if args.split == "all"
+            else _split_rows(model, raw.labels)[args.split == "test"])
+    return model, model_codes(model, _scaled(model, raw, rows)), raw.labels[rows]
 
 
 def _column_index(p: Preprocessing, key: str, column) -> int:
@@ -324,22 +356,23 @@ def cmd_explain(cfg: dict, args) -> int:
     coalition_count(len(kept), n_coalitions)     # refuses fewer than d + 2
     feat, color = (None if e[key] is None else _column_index(model.preprocessing, key, e[key])
                    for key in ("dependence_feature", "dependence_color"))
-    train, test = _split(model, _replay(model, cfg, args))
-    train_x, test_x, test_labels = train.features, test.features, test.labels
-    per_row = explain_plan(train_x.shape[0], test_x.shape[0], test_x.shape[1],
+    raw = _replay(model, cfg, args)
+    train_rows, test_rows = _split_rows(model, raw.labels)
+    per_row = explain_plan(train_rows.size, test_rows.size, len(kept),
                            n_bg, n_eval, n_coalitions)
+    # the background rows, then the explained ones: all that explain_encoder reads
+    scaled = _scaled(model, raw, np.concatenate([train_rows[:n_bg], test_rows[:n_eval]]))
+    train_x, eval_x = scaled[:n_bg], scaled[n_bg:]
+    eval_labels = raw.labels[test_rows[:n_eval]]
     print(f"explain: {n_eval} rows x {per_row} coalitions x {n_bg} background rows "
           f"= {n_eval * per_row * n_bg} coalition rows")
-    attr = explain_encoder(model.network, train_x, test_x,
+    attr = explain_encoder(model.network, train_x, eval_x,
                            feature_names=kept,
                            n_background=n_bg, n_eval=n_eval,
                            n_coalitions=n_coalitions,
                            seed=substream_seed(cfg["seed"], "shap"),
                            progress=lambda i: print(f"explain: row {i + 1} of {n_eval}"))
     out = _out_dir(cfg)
-    eval_x = test_x[:n_eval]
-    eval_labels = test_labels[:n_eval]
-
     names = attr.feature_names
     write_csv(os.path.join(out, "attributions.csv"),
               ["sample", "feature", "latent_dim", "value"],
@@ -436,7 +469,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-        _check_out_dir(cfg)
+        _check_out_dir(cfg, args.command)
         # looked up by name at call time, so a wrapped cmd_* is the one that runs
         return globals()[f"cmd_{args.command}"](cfg, args)
     except (*INPUT_ERRORS, NumericError) as exc:

@@ -20,8 +20,10 @@ start of a file is skipped.
 
 A loaded table can be kept as a table cache (``write_table_cache``): its
 raw features, labels and names in one binary file, keyed by the digest of
-the loader's options and its source files' bytes. ``read_table_cache``
-gives the table back only while that key still matches. It and the model
+the loader's options and its source files' bytes (``table_digest``: a
+SHA-256 of each file's 1 MiB chunks, hashed by one thread per usable CPU).
+``read_table_cache`` gives the table back only while that key still
+matches. It and the model
 bundle's sidecar are keyed records (``write_keyed``, ``read_keyed``).
 """
 from __future__ import annotations
@@ -29,7 +31,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import mmap
 import os
+import threading
 import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, TextIO
@@ -79,8 +83,11 @@ class TabularDataset:
         return self.features.shape[1]
 
     def class_counts(self) -> dict[str, int]:
-        return {"failure": int(np.sum(self.labels == 0)),
-                "success": int(np.sum(self.labels == 1))}
+        return _class_counts(self.labels)
+
+
+def _class_counts(labels: np.ndarray) -> dict[str, int]:
+    return {"failure": int(np.sum(labels == 0)), "success": int(np.sum(labels == 1))}
 
 
 @dataclass
@@ -312,26 +319,90 @@ def load_labeled_csv(path: str, label_column: str = "label") -> TabularDataset:
 
 
 # Bump the tag whenever a loader would read the same bytes differently.
-_TABLE_TAG = b"claire-table/1\n"
+_TABLE_TAG = b"claire-table/2\n"
+_CHUNK = 1 << 20
+_BLOCK = 1 << 18         # a lane's read buffer; _CHUNK is a multiple of it
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:          # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _hash_run(fh, chunks: range, size: int, digests: list) -> None:
+    """Put the SHA-256 of each 1 MiB chunk in ``chunks`` of the file ``fh``,
+    ``size`` bytes long, in its slot of ``digests``, reading the chunks in
+    order through one 256 KiB buffer. The buffer is an anonymous map, not
+    the allocator's, so no heap keeps it after the call. A chunk that ends
+    early, or runs past ``size``, leaves its slot None."""
+    with mmap.mmap(-1, _BLOCK) as buf:
+        fh.seek(chunks.start * _CHUNK)
+        for k in chunks:
+            h = hashlib.sha256()
+            left = min(_CHUNK, size - k * _CHUNK)
+            # a chunk is whole blocks, so only the file's last read is short
+            while left > 0 and (got := fh.readinto(buf)):
+                h.update(buf if got == _BLOCK else buf[:got])
+                left -= got
+            if left:
+                return
+            digests[k] = h.digest()
+
+
+def _hash_lane(path: str, chunks: range, size: int, digests: list) -> None:
+    """``_hash_run`` on a file of its own; a read that fails leaves the
+    slots of the chunks not yet hashed None."""
+    try:
+        with open(path, "rb", buffering=0) as fh:
+            _hash_run(fh, chunks, size, digests)
+    except (OSError, ValueError):
+        pass
+
+
+def _file_digests(path: str) -> tuple[list[bytes], int]:
+    """The SHA-256 of each 1 MiB chunk of ``path``, in order, and its size;
+    an OSError when a chunk cannot be read. The chunks are cut into min(usable
+    CPUs, chunks) runs of neighbours, one per lane. The calling thread is
+    the first lane, so a one-chunk file is hashed inline. hashlib and the
+    reads release the GIL, so the lanes run at the same time."""
+    with open(path, "rb", buffering=0) as fh:
+        size = os.fstat(fh.fileno()).st_size
+        n = -(-size // _CHUNK)
+        digests: list = [None] * n
+        lanes = max(1, min(_usable_cpus(), n))
+        runs = [range(i * n // lanes, (i + 1) * n // lanes) for i in range(lanes)]
+        threads = [threading.Thread(target=_hash_lane, args=(path, run, size, digests))
+                   for run in runs[1:]]
+        try:
+            for thread in threads:
+                thread.start()
+            _hash_run(fh, runs[0], size, digests)
+        finally:
+            for thread in threads:
+                if thread.ident is not None:
+                    thread.join()
+    if None in digests:
+        raise OSError(f"cannot read {path} in full")
+    return digests, size
 
 
 def table_digest(loader: dict, paths: list[str]) -> bytes | None:
     """SHA-256 of the format tag, the loader's kind and options (``loader``,
-    a JSON object without the paths) and the bytes of each source file in
-    ``paths``, read in 1 MiB chunks. None, never an error, when a file
-    cannot be read: the loader then reports it."""
+    a JSON object without the paths) and, for each source file in
+    ``paths``, the SHA-256 of each of its 1 MiB chunks in order, then its
+    size. The key is the same whatever the lane count. None, never an
+    error, when a file cannot be read: the loader then reports it."""
     h = hashlib.sha256(_TABLE_TAG)
     h.update(json.dumps(loader, sort_keys=True).encode())
-    try:
-        for path in paths:
-            size = 0
-            with open(path, "rb") as fh:
-                while chunk := fh.read(1 << 20):
-                    h.update(chunk)
-                    size += len(chunk)
-            h.update(b"\n%d\n" % size)
-    except (OSError, ValueError):
-        return None
+    for path in paths:
+        try:
+            digests, size = _file_digests(path)
+        except (OSError, ValueError):
+            return None
+        h.update(b"".join(digests))
+        h.update(b"\n%d\n" % size)
     return h.digest()
 
 
@@ -490,27 +561,34 @@ def apply_scaler(state: ScalerState, x: np.ndarray) -> np.ndarray:
     return scaled
 
 
-def stratified_split(ds: TabularDataset, test_fraction: float = 0.2,
-                     seed: int = 42) -> tuple[TabularDataset, TabularDataset]:
-    """Split rows so each class lands in the test set at the requested
-    fraction, to within one sample per class. Deterministic given seed.
+def stratified_test_mask(labels: np.ndarray, test_fraction: float = 0.2,
+                         seed: int = 42) -> np.ndarray:
+    """The mask of the rows that go to the test set: each class's rows
+    there at the requested fraction, to within one sample per class. It
+    reads only the labels and the seed, so a replay can pick a split's
+    rows before it touches their features. Deterministic given seed.
     """
     if not 0.0 < test_fraction < 1.0:
         raise InputError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    counts = ds.class_counts()
+    counts = _class_counts(labels)
     if min(counts.values()) < 2:
         raise DegenerateDataError(
             f"stratified split needs at least 2 rows per class, got {counts}")
     rng = RngStream(seed)
-    test_rows: list[np.ndarray] = []
+    mask = np.zeros(labels.shape[0], dtype=bool)
     for cls in (0, 1):
-        idx = np.flatnonzero(ds.labels == cls)
+        idx = np.flatnonzero(labels == cls)
         order = idx[rng.permutation(idx.size)]
-        n_test = int(round(test_fraction * idx.size))
-        test_rows.append(order[:n_test])
-    test_idx = np.sort(np.concatenate(test_rows))
-    mask = np.zeros(ds.n_rows, dtype=bool)
-    mask[test_idx] = True
+        mask[order[:int(round(test_fraction * idx.size))]] = True
+    return mask
+
+
+def stratified_split(ds: TabularDataset, test_fraction: float = 0.2,
+                     seed: int = 42) -> tuple[TabularDataset, TabularDataset]:
+    """The rows of ``stratified_test_mask`` as the test set, the others as
+    the training set, each in the order of ``ds``.
+    """
+    mask = stratified_test_mask(ds.labels, test_fraction, seed)
     # boolean indexing copies
     train = TabularDataset(ds.features[~mask], ds.labels[~mask],
                            list(ds.feature_names), provenance="train")

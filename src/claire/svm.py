@@ -9,10 +9,19 @@ solver stops when the two-threshold gap of Keerthi et al. 2001 falls to
 ``tol``; it has no random choices.
 
 Labels are +1 / -1 inside this module. 0 / 1 mapping happens in training.
+
+The training Gram is the largest array claire makes, so ``smo_train``
+keeps it out of the C heap: it first hands the heap's free pages back to
+the system, then fills the Gram in an anonymous map of its own, which goes
+back to the system when the Gram is released. Its peak is then the live
+data plus one Gram, whatever earlier work in the same process left in the
+heap.
 """
 from __future__ import annotations
 
+import ctypes
 import math
+import mmap
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,6 +33,19 @@ SV_THRESHOLD = 1e-10
 TAU = 1e-12    # curvature floor for a pair the kernel cannot tell apart
 BLOCK = 1 << 15    # values per row block of the rbf kernel's distance pass
 KERNELS = ("linear", "polynomial", "rbf", "sigmoid")
+
+try:                    # glibc's; other C libraries have no such call
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+    _malloc_trim.argtypes = [ctypes.c_size_t]
+except (AttributeError, OSError, TypeError):
+    _malloc_trim = None
+
+
+def _mapped_matrix(rows: int, cols: int) -> np.ndarray:
+    """An uninitialised float64 (rows, cols) array in an anonymous map of
+    its own, unmapped when the array and its views are released."""
+    buf = mmap.mmap(-1, max(1, rows * cols * 8))
+    return np.frombuffer(buf, np.float64, rows * cols).reshape(rows, cols)
 
 
 @dataclass(frozen=True)
@@ -78,19 +100,21 @@ def resolve_kernel(spec: KernelSpec, train_features: np.ndarray) -> KernelSpec:
     return replace(spec, gamma=gamma)
 
 
-def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Kernel values for every row pair, shape (rows(a), rows(b)).
 
     One buffer: every kind is finished inside the array that ``a @ b.T``
-    returns, so the only other memory is a row block of about ``BLOCK``
-    values (rbf). Each value takes the same operations in the same order
-    as the whole-matrix formulas, so the bits are theirs.
+    fills (``out`` when given, a C-ordered float64 array of that shape,
+    else a new one), so the only other memory is a row block of about
+    ``BLOCK`` values (rbf). Each value takes the same operations in the
+    same order as the whole-matrix formulas, so the bits are theirs.
     """
     a = as_matrix(a)
     b = as_matrix(b)
     if a.shape[1] != b.shape[1]:
         raise ShapeError(f"feature widths differ: {a.shape[1]} vs {b.shape[1]}")
-    out = a @ b.T
+    out = np.matmul(a, b.T, out=out)
     if spec.kind == "polynomial":
         out += spec.coef0
         out **= spec.degree
@@ -242,7 +266,9 @@ def smo_train(features: np.ndarray, y: np.ndarray, kernel: KernelSpec,
         raise InputError(f"stopping tolerance must be positive, got {tol}")
 
     kernel = resolve_kernel(kernel, x)
-    gram = kernel_matrix(kernel, x, x)
+    if _malloc_trim is not None:     # the heap's free pages go back to the system
+        _malloc_trim(0)
+    gram = kernel_matrix(kernel, x, x, out=_mapped_matrix(x.shape[0], x.shape[0]))
     updates = 0
     for alpha, _, gap in _pair_updates(gram, y, c):
         if gap <= tol or updates >= max_passes * x.shape[0]:

@@ -1212,17 +1212,122 @@ def test_eval_output_dir_that_is_a_file_exits_two(workspace, trained, tmp_path, 
     assert blocker.read_text() == "x"
 
 
-@pytest.mark.parametrize("command,name", [("train", "model.json"), ("eval", "metrics.json"),
-                                          ("explain", "attributions.csv"),
-                                          ("project", "lda_projection.csv")])
+# every file each command writes with the workspace config (beeswarm_dims [0, 1])
+OUTPUTS = {
+    "preprocess": ["train.csv", "test.csv", "preprocess_report.json"],
+    "train": ["model.json", "model_cache.npy", "loss_history.csv", "preprocess_report.json",
+              "table_cache.npy"],
+    "eval": ["metrics.json"],
+    "explain": ["attributions.csv", "base_values.json", "importance_global.csv",
+                "importance_class.csv", "beeswarm_dim_0.csv", "beeswarm_dim_1.csv",
+                "dependence.csv"],
+    "project": ["lda_projection.csv", "lda_summary.json"],
+}
+
+
+def _run_into(workspace, trained, command, out):
+    model = [] if command in ("train", "preprocess") else [
+        "--model", os.path.join(trained, "model.json")]
+    return main([command, "--dataset", workspace["data"], "--config", workspace["config"],
+                 "--seed", "5", *model, "--out", str(out)])
+
+
+@pytest.mark.parametrize("command", OUTPUTS)
+def test_each_command_writes_the_files_it_checks_first(workspace, trained, tmp_path, command):
+    from claire import cli
+    out = tmp_path / "out"
+    assert _run_into(workspace, trained, command, out) == 0
+    cfg = cli.resolve_config(cli.build_parser().parse_args(
+        [command, "--config", workspace["config"]]))
+    assert sorted(os.listdir(out)) == sorted(cli._outputs(command, cfg)) == sorted(
+        OUTPUTS[command])
+
+
+@pytest.mark.parametrize("command,name", [(command, name) for command, names in OUTPUTS.items()
+                                          for name in names])
 def test_output_file_that_cannot_be_opened_exits_two_naming_it(workspace, trained, tmp_path,
-                                                               capsys, command, name):
+                                                               no_loader, monkeypatch, capsys,
+                                                               command, name):
+    """Refused before the data is read or a model trained."""
+    def never(*args, **kwargs):
+        raise AssertionError("a model was trained")
+    monkeypatch.setattr("claire.cli.train_pipeline", never)
     out = tmp_path / "out"
     (out / name).mkdir(parents=True)
-    model = [] if command == "train" else ["--model", os.path.join(trained, "model.json")]
-    rc = main([command, "--dataset", workspace["data"], "--config", workspace["config"],
-               "--seed", "5", *model, "--out", str(out)])
-    _assert_one_line_input_error(rc, capsys.readouterr().err, f"cannot write {out / name}: ")
+    rc = _run_into(workspace, trained, command, out)
+    _assert_one_line_input_error(rc, capsys.readouterr().err,
+                                 f"cannot write {out / name}: it is a directory")
+
+
+@pytest.mark.parametrize("exists", [True, False], ids=["file", "absent_file"])
+def test_output_file_that_is_not_writable_exits_two_naming_it(workspace, trained, tmp_path,
+                                                              no_loader, monkeypatch, capsys,
+                                                              exists):
+    """A file that exists must be writable, else the directory it goes in."""
+    out = tmp_path / "out"
+    out.mkdir()
+    target = out / "metrics.json"
+    if exists:
+        target.write_text("{}")
+    blocked = target if exists else out
+    real = os.access
+    monkeypatch.setattr("os.access", lambda path, mode: real(path, mode) and
+                        os.path.abspath(path) != str(blocked))
+    rc = _run_into(workspace, trained, "eval", out)
+    _assert_one_line_input_error(rc, capsys.readouterr().err,
+                                 f"cannot write {target}: {blocked} is not writable")
+
+
+# ---- rows first: a replay preprocesses only the rows it uses ----
+
+ROWS_FIRST = {"eval_test": ["eval", "--split", "test"],
+              "explain": ["explain", "--n-background", "5", "--n-eval", "2"],
+              "project_all": ["project", "--split", "all"]}
+
+
+def _replay_into(workspace, trained, argv, out, capsys):
+    """The exit code, the standard output (``out`` spelled OUT) and every
+    file written to ``out``."""
+    rc = main([*argv, "--model", os.path.join(trained, "model.json"), "--dataset",
+               workspace["data"], "--config", workspace["config"], "--seed", "5",
+               "--out", str(out)])
+    printed = capsys.readouterr().out.replace(str(out), "OUT")
+    return rc, printed, {name: (out / name).read_bytes() for name in sorted(os.listdir(out))}
+
+
+@pytest.mark.parametrize("name", ROWS_FIRST)
+def test_a_replay_scales_only_the_rows_it_uses(workspace, trained, tmp_path, monkeypatch,
+                                               capsys, name):
+    import claire.cli as cli
+    import claire.data as data_mod
+    from claire.data import TabularDataset, stratified_split
+    from claire.numerics import substream_seed
+
+    # the old path: every row scaled, then split
+    model = cli.load_bundle(os.path.join(trained, "model.json"))
+    p = model.preprocessing
+    raw = cli.load_dataset(parse_dataset_spec(workspace["data"]))
+    every = TabularDataset(data_mod.apply_saved_preprocessing(raw.features, p), raw.labels,
+                           list(p.kept_names))
+    train, test = stratified_split(every, model.preprocess["test_fraction"],
+                                   substream_seed(model.seed, "split"))
+    want = {"eval_test": test.features, "project_all": every.features,
+            "explain": np.vstack([train.features[:5], test.features[:2]])}[name]
+    assert want.shape[0] == {"eval_test": test.n_rows, "project_all": 120, "explain": 7}[name]
+
+    real = data_mod.apply_saved_preprocessing
+    scaled = []
+    monkeypatch.setattr(data_mod, "apply_saved_preprocessing",
+                        lambda x, p: scaled.append(real(x, p)) or scaled[-1])
+    got = _replay_into(workspace, trained, ROWS_FIRST[name], tmp_path / "rows_first", capsys)
+    assert got[0] == 0
+    assert sum(x.shape[0] for x in scaled) == want.shape[0]
+    assert np.concatenate(scaled).tobytes() == want.tobytes()
+
+    # the same replay with every row scaled before the rows are taken
+    monkeypatch.setattr(cli, "_scaled", lambda model, raw, rows: real(
+        raw.features, model.preprocessing)[rows])
+    assert got == _replay_into(workspace, trained, ROWS_FIRST[name], tmp_path / "old", capsys)
 
 
 # ---- the table cache: train's parsed table, replayed by eval, explain and project ----

@@ -357,6 +357,145 @@ def test_table_digest_of_an_unreadable_source_is_none(tmp_path, monkeypatch, pat
     assert table_digest(CSV_LOADER, [_csv_table(tmp_path), path]) is None
 
 
+MIB = 1 << 20
+
+
+def _digest_oracle(loader, blobs, tag=b"claire-table/2\n", chunked=True):
+    """The table-cache key written out: the tag, the loader's options, then
+    for each file the SHA-256 of each 1 MiB chunk in order and its size.
+    The ``/1`` key hashed each file's bytes themselves (``chunked=False``)."""
+    import hashlib
+    import json
+    h = hashlib.sha256(tag)
+    h.update(json.dumps(loader, sort_keys=True).encode())
+    for blob in blobs:
+        for at in range(0, len(blob), MIB):
+            chunk = blob[at:at + MIB]
+            h.update(hashlib.sha256(chunk).digest() if chunked else chunk)
+        h.update(b"\n%d\n" % len(blob))
+    return h.digest()
+
+
+def _blob(size, seed=0):
+    return np.random.default_rng(seed).integers(0, 256, size, dtype=np.uint8).tobytes()
+
+
+@pytest.fixture
+def lanes(monkeypatch):
+    """Sets the usable CPU count the digest sees and gives the chunk runs
+    hashed on threads other than the caller's; checks that every call left
+    as many threads alive as it found."""
+    import threading
+    import claire.data as data_mod
+    before = threading.active_count()
+    runs = []
+    real = data_mod._hash_lane
+    monkeypatch.setattr(data_mod, "_hash_lane",
+                        lambda path, chunks, *a: runs.append(chunks) or real(path, chunks, *a))
+
+    def set_cpus(cpus):
+        monkeypatch.setattr(data_mod, "_usable_cpus", lambda: cpus)
+        return runs
+    yield set_cpus
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 8])
+@pytest.mark.parametrize("size", [0, 1, MIB - 1, MIB, MIB + 1, 3 * MIB + 5])
+def test_table_digest_is_the_chunked_oracle_at_every_lane_count(tmp_path, lanes, cpus, size):
+    threaded = lanes(cpus)
+    blobs = [_blob(size), b"-1 x\n1 y\n"]
+    paths = [tmp_path / "t.data", tmp_path / "l.data"]
+    for path, blob in zip(paths, blobs):
+        path.write_bytes(blob)
+    loader = {"kind": "secom"}
+    assert table_digest(loader, [str(p) for p in paths]) == _digest_oracle(loader, blobs)
+    chunks = -(-size // MIB)
+    assert len(threaded) == max(0, min(cpus, chunks) - 1)
+    assert sum(len(run) for run in threaded) == (chunks - chunks // min(cpus, chunks)
+                                                 if threaded else 0)
+
+
+def test_more_lanes_than_cores_switching_often_give_the_oracle(tmp_path, lanes):
+    """Eight lanes, each filling its own slots, on a short switch interval."""
+    import sys
+    threaded = lanes(8)
+    blob = _blob(9 * MIB + 3)
+    path = tmp_path / "t.data"
+    path.write_bytes(blob)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        keys = {table_digest(CSV_LOADER, [str(path)]) for _ in range(5)}
+    finally:
+        sys.setswitchinterval(interval)
+    assert keys == {_digest_oracle(CSV_LOADER, [blob])}
+    assert len(threaded) == 5 * 7
+
+
+@pytest.mark.parametrize("at", [0, 2 * MIB + 7, 4 * MIB + 4], ids=["first", "middle", "last"])
+def test_flipping_one_byte_in_any_chunk_changes_the_key(tmp_path, lanes, at):
+    lanes(2)
+    blob = bytearray(_blob(4 * MIB + 5))
+    path = tmp_path / "t.data"
+    path.write_bytes(blob)
+    key = table_digest(CSV_LOADER, [str(path)])
+    blob[at] ^= 1
+    path.write_bytes(blob)
+    assert table_digest(CSV_LOADER, [str(path)]) not in (key, None)
+    assert table_digest(CSV_LOADER, [str(path)]) == _digest_oracle(CSV_LOADER, [bytes(blob)])
+
+
+@pytest.mark.parametrize("chunk", [0, 1, 3], ids=["calling_lane", "its_last_chunk", "thread"])
+def test_a_lane_whose_read_fails_gives_none(tmp_path, monkeypatch, lanes, chunk):
+    """Two lanes on four chunks: the calling thread reads chunks 0 and 1,
+    a second thread chunks 2 and 3."""
+    import io
+    import claire.data as data_mod
+    lanes(2)
+    path = tmp_path / "t.data"
+    path.write_bytes(_blob(4 * MIB))
+    assert table_digest(CSV_LOADER, [str(path)]) == _digest_oracle(CSV_LOADER,
+                                                                   [path.read_bytes()])
+
+    class Failing(io.FileIO):
+        def readinto(self, buffer):
+            if self.tell() == chunk * MIB:
+                raise OSError("read failed")
+            return super().readinto(buffer)
+    monkeypatch.setattr(data_mod, "open", lambda name, mode, buffering: Failing(name, mode),
+                        raising=False)
+    assert table_digest(CSV_LOADER, [str(path)]) is None
+
+
+@pytest.mark.parametrize("delta", [-1, 1], ids=["grew", "shrank"])
+def test_a_file_whose_size_changes_while_it_is_hashed_gives_none(tmp_path, monkeypatch, lanes,
+                                                                 delta):
+    """The size is read once, before the chunks: a file that then grew or
+    shrank is read past or short of it."""
+    import os
+    from types import SimpleNamespace
+    import claire.data as data_mod
+    lanes(2)
+    path = tmp_path / "t.data"
+    path.write_bytes(_blob(2 * MIB + 9))
+    real = os.fstat
+    monkeypatch.setattr(data_mod.os, "fstat",
+                        lambda fd: SimpleNamespace(st_size=real(fd).st_size + delta))
+    assert table_digest(CSV_LOADER, [str(path)]) is None
+
+
+def test_a_cache_keyed_by_the_first_digest_misses(tmp_path):
+    source = _csv_table(tmp_path)
+    with open(source, "rb") as fh:
+        old = _digest_oracle(CSV_LOADER, [fh.read()], tag=b"claire-table/1\n", chunked=False)
+    cache = str(tmp_path / "cache.npy")
+    write_table_cache(cache, old, load_labeled_csv(source))
+    assert read_table_cache(cache, CSV_LOADER, [source]) is None
+    write_table_cache(cache, table_digest(CSV_LOADER, [source]), load_labeled_csv(source))
+    _same_table(read_table_cache(cache, CSV_LOADER, [source]), load_labeled_csv(source))
+
+
 def test_load_keyed_keys_only_a_table_whose_sources_held_still(tmp_path):
     import os
     path = _csv_table(tmp_path)

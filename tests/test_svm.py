@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from claire.errors import DegenerateDataError, InputError, ShapeError
+import claire.svm as svm_mod
 from claire.svm import (BLOCK, SV_THRESHOLD, KernelSpec, SvmModel, _pair_updates,
                         decision_function, full_alphas, kernel_matrix, kkt_violation,
                         predict_labels, resolve_kernel, smo_train)
@@ -161,6 +162,45 @@ def test_smo_train_holds_one_gram():
     y = np.where(x[:, 0] + 0.5 * x[:, 1] > 0, 1.0, -1.0)
     peak = peak_bytes(lambda: smo_train(x, y, KernelSpec.rbf(), max_passes=1))
     assert peak <= 1.25 * GRAM_BYTES
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}{s.degree}")
+@pytest.mark.parametrize("n,m", [(1, None), (700, None), (700, 300), (3, 0)])
+def test_kernel_matrix_fills_a_given_buffer_with_the_same_bits(spec, n, m):
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(n, 5))
+    b = a if m is None else rng.normal(size=(m, 5))
+    buf = svm_mod._mapped_matrix(a.shape[0], b.shape[0])
+    got = kernel_matrix(spec, a, b, out=buf)
+    assert got is buf
+    want = kernel_matrix(spec, a, b)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_smo_train_keeps_its_gram_out_of_the_heap(monkeypatch):
+    """The heap's free pages go back to the system before the Gram is
+    made, and the Gram lives in a map of its own: no Gram-sized buffer is
+    left in the heap, and the model is bit for bit the one a heap Gram
+    gives."""
+    x = MEMORY_ROWS
+    y = np.where(x[:, 0] + 0.5 * x[:, 1] > 0, 1.0, -1.0)
+    events = []
+    trim = svm_mod._malloc_trim
+    monkeypatch.setattr(svm_mod, "_malloc_trim",
+                        lambda pad: events.append("trim") or (trim and trim(pad)))
+    monkeypatch.setattr(svm_mod, "kernel_matrix", lambda *a, **kw: (
+        events.append("gram"), kernel_matrix(*a, **kw))[1])
+    peak = peak_bytes(lambda: smo_train(x, y, KernelSpec.rbf(), max_passes=1))
+    assert peak <= 0.25 * GRAM_BYTES
+    assert events == ["trim", "gram"]
+
+    mapped = smo_train(x, y, KernelSpec.rbf(), max_passes=1)
+    monkeypatch.setattr(svm_mod, "_mapped_matrix", lambda r, c: np.empty((r, c)))
+    heap = smo_train(x, y, KernelSpec.rbf(), max_passes=1)
+    for name in ("support_vectors", "dual_coef", "support_indices"):
+        assert np.array_equal(getattr(mapped, name), getattr(heap, name)), name
+    assert (mapped.bias, mapped.n_sweeps, mapped.kkt_gap) == (heap.bias, heap.n_sweeps,
+                                                              heap.kkt_gap)
 
 
 def test_resolve_kernel_gamma_rules():
