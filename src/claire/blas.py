@@ -1,0 +1,64 @@
+"""The threads claire's numeric work runs on.
+
+Work that claire splits into lanes (the table digest, explain's coalition
+values) runs one lane per CPU this process may use (``usable_cpus``).
+
+OpenBLAS can give other bits at another thread count, and its threads
+would compete with the lanes for the cores. ``one_thread`` holds the
+OpenBLAS that numpy loaded (its wheel's ``numpy.libs/libscipy_openblas64_*``)
+at one thread through ``ctypes``, as threadpoolctl does. With another BLAS
+build there is no such setter, and it leaves the thread count alone.
+"""
+from __future__ import annotations
+
+import ctypes
+import functools
+import os
+from contextlib import contextmanager
+
+import numpy as np
+
+
+def usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:          # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+@functools.cache
+def thread_calls():
+    """The get and set thread count calls of the OpenBLAS that numpy has
+    loaded, or None. A library that is not loaded already is not loaded."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    try:
+        names = sorted(os.listdir(libs))
+    except OSError:
+        return None
+    for name in names:
+        if name.startswith("libscipy_openblas64_") and ".so" in name:
+            try:
+                lib = ctypes.CDLL(os.path.join(libs, name), mode=os.RTLD_NOLOAD)
+                return (lib.scipy_openblas_get_num_threads64_,
+                        lib.scipy_openblas_set_num_threads64_)
+            except (OSError, AttributeError):
+                pass
+    return None
+
+
+@contextmanager
+def one_thread():
+    """Hold BLAS at one thread for the body and give True, then restore
+    the count it had, also when the body raises. Give False, and touch
+    nothing, when the count cannot be set."""
+    calls = thread_calls()
+    if calls is None:
+        yield False
+        return
+    get, set_threads = calls
+    before = get()
+    set_threads(1)
+    try:
+        yield True
+    finally:
+        set_threads(before)

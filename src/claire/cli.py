@@ -24,6 +24,7 @@ import traceback
 
 import numpy as np
 
+from . import blas
 from . import data as data_mod
 from .data import Preprocessing, TabularDataset
 from .data import stratified_split  # noqa: F401 (perfbench/layers.py times it here)
@@ -364,8 +365,13 @@ def cmd_explain(cfg: dict, args) -> int:
     scaled = _scaled(model, raw, np.concatenate([train_rows[:n_bg], test_rows[:n_eval]]))
     train_x, eval_x = scaled[:n_bg], scaled[n_bg:]
     eval_labels = raw.labels[test_rows[:n_eval]]
+    if blas.thread_calls() is None:
+        runs_on = "; BLAS thread count not pinned; 1 lane"
+    else:
+        lanes = blas.usable_cpus()
+        runs_on = f" on {lanes} lane{'s' * (lanes > 1)}, BLAS 1 thread"
     print(f"explain: {n_eval} rows x {per_row} coalitions x {n_bg} background rows "
-          f"= {n_eval * per_row * n_bg} coalition rows")
+          f"= {n_eval * per_row * n_bg} coalition rows{runs_on}")
     attr = explain_encoder(model.network, train_x, eval_x,
                            feature_names=kept,
                            n_background=n_bg, n_eval=n_eval,

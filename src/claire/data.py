@@ -21,7 +21,8 @@ start of a file is skipped.
 A loaded table can be kept as a table cache (``write_table_cache``): its
 raw features, labels and names in one binary file, keyed by the digest of
 the loader's options and its source files' bytes (``table_digest``: a
-SHA-256 of each file's 1 MiB chunks, hashed by one thread per usable CPU).
+SHA-256 of each file's 1 MiB chunks, hashed by one thread per usable CPU,
+``blas.usable_cpus``).
 ``read_table_cache`` gives the table back only while that key still
 matches. It and the model
 bundle's sidecar are keyed records (``write_keyed``, ``read_keyed``).
@@ -40,6 +41,7 @@ from typing import Any, Callable, TextIO
 
 import numpy as np
 
+from . import blas
 from .errors import DegenerateDataError, InputError, ShapeError
 from .numerics import RngStream, substream_seed
 
@@ -324,13 +326,6 @@ _CHUNK = 1 << 20
 _BLOCK = 1 << 18         # a lane's read buffer; _CHUNK is a multiple of it
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:          # no affinity mask on this platform
-        return os.cpu_count() or 1
-
-
 def _hash_run(fh, chunks: range, size: int, digests: list) -> None:
     """Put the SHA-256 of each 1 MiB chunk in ``chunks`` of the file ``fh``,
     ``size`` bytes long, in its slot of ``digests``, reading the chunks in
@@ -371,7 +366,7 @@ def _file_digests(path: str) -> tuple[list[bytes], int]:
         size = os.fstat(fh.fileno()).st_size
         n = -(-size // _CHUNK)
         digests: list = [None] * n
-        lanes = max(1, min(_usable_cpus(), n))
+        lanes = max(1, min(blas.usable_cpus(), n))
         runs = [range(i * n // lanes, (i + 1) * n // lanes) for i in range(lanes)]
         threads = [threading.Thread(target=_hash_lane, args=(path, run, size, digests))
                    for run in runs[1:]]

@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -20,6 +21,19 @@ def two_cloud_dataset():
     labels = np.array([1] * n + [0] * n, dtype=np.int64)
     perm = rng.permutation(2 * n)
     return TabularDataset(x[perm], labels[perm], [f"f{j}" for j in range(6)])
+
+
+@pytest.fixture
+def no_thread_left():
+    """Checks that as many threads are alive as the test found, when it
+    ends and whenever it calls the fixture's value: every lane it started
+    was joined."""
+    before = threading.active_count()
+
+    def check():
+        assert threading.active_count() == before
+    yield check
+    check()
 
 
 def make_dataset(features, labels, names=None):

@@ -345,7 +345,18 @@ def _assert_one_line_input_error(rc, err, *needles):
         assert needle in err
 
 
-def test_explain_prints_its_plan_first(workspace, trained, capsys):
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs; gives the end of the explain plan line: its lanes
+    and BLAS threads, or one lane where BLAS's thread count cannot be set."""
+    import claire.blas as blas
+    monkeypatch.setattr(blas, "usable_cpus", lambda: 2)
+    if blas.thread_calls() is None:
+        return "; BLAS thread count not pinned; 1 lane"
+    return " on 2 lanes, BLAS 1 thread"
+
+
+def test_explain_prints_its_plan_first(workspace, trained, two_cpus, capsys):
     rc = main(["explain", "--dataset", workspace["data"], "--config",
                workspace["config"], "--seed", "5",
                "--model", os.path.join(trained, "model.json"),
@@ -354,7 +365,7 @@ def test_explain_prints_its_plan_first(workspace, trained, capsys):
     lines = capsys.readouterr().out.splitlines()
     # 5 rows, 4 features -> 2^4 - 2 coalitions, 20 background rows
     plan = lines.index("explain: 5 rows x 14 coalitions x 20 background rows "
-                       "= 1400 coalition rows")
+                       "= 1400 coalition rows" + two_cpus)
     # then one progress line per explained row, in order, before the exports
     rows = [lines.index(f"explain: row {i} of 5") for i in range(1, 6)]
     assert plan < rows[0] and rows == sorted(rows)
@@ -661,7 +672,8 @@ def test_explain_checks_coalitions_against_d_before_the_dataset_is_read(wide_tra
     assert not out.exists()
 
 
-def test_explain_plan_line_counts_the_sampled_coalitions(wide_trained, monkeypatch, capsys):
+def test_explain_plan_line_counts_the_sampled_coalitions(wide_trained, monkeypatch, two_cpus,
+                                                         capsys):
     import claire.explain as explain_mod
     rows = []
     solve = explain_mod.solve_weighted_least_squares
@@ -677,7 +689,7 @@ def test_explain_plan_line_counts_the_sampled_coalitions(wide_trained, monkeypat
     assert rc == 0
     # an odd budget drops one coalition: sampled coalitions come with their complements
     assert ("explain: 2 rows x 100 coalitions x 20 background rows = 4000 coalition rows"
-            in capsys.readouterr().out.splitlines())
+            + two_cpus in capsys.readouterr().out.splitlines())
     assert rows == [100, 100]
 
 

@@ -381,23 +381,21 @@ def _blob(size, seed=0):
 
 
 @pytest.fixture
-def lanes(monkeypatch):
+def lanes(monkeypatch, no_thread_left):
     """Sets the usable CPU count the digest sees and gives the chunk runs
-    hashed on threads other than the caller's; checks that every call left
-    as many threads alive as it found."""
-    import threading
+    hashed on threads other than the caller's; ``no_thread_left`` checks
+    that every call left as many threads alive as it found."""
+    import claire.blas as blas
     import claire.data as data_mod
-    before = threading.active_count()
     runs = []
     real = data_mod._hash_lane
     monkeypatch.setattr(data_mod, "_hash_lane",
                         lambda path, chunks, *a: runs.append(chunks) or real(path, chunks, *a))
 
     def set_cpus(cpus):
-        monkeypatch.setattr(data_mod, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(blas, "usable_cpus", lambda: cpus)
         return runs
-    yield set_cpus
-    assert threading.active_count() == before
+    return set_cpus
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 8])

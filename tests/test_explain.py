@@ -6,11 +6,13 @@ over background completions), sharing no code with the regression route.
 """
 import itertools
 import math
+import threading
 
 import numpy as np
 import pytest
 
 from claire.errors import InputError, ShapeError
+from conftest import peak_bytes
 import claire.explain as explain_mod
 from claire.explain import (AttributionTensor, EXHAUSTIVE_LIMIT, SAMPLE_BLOCK,
                             _allocate_budget, _allocate_pairs, _call_model,
@@ -518,9 +520,9 @@ def flat_leaky_first(folded):
     return [(w, b, Activation("leaky_relu", 0.0)), *layers[1:]], scale
 
 
-@pytest.mark.parametrize("small_chunks", [False, True])
-@pytest.mark.parametrize("d", [5, 18, 60])
-def test_buffered_encoder_values_match_per_layer_reference(monkeypatch, d, small_chunks):
+def encoder_case(d):
+    """An encoder, 6 background rows, a row to explain and its coalitions:
+    all of them when d <= EXHAUSTIVE_LIMIT, else 400 sampled ones."""
     net = trained_like_encoder(d, 70 + d)
     rng = np.random.default_rng(d)
     background = rng.uniform(0, 1, size=(6, d))
@@ -529,14 +531,79 @@ def test_buffered_encoder_values_match_per_layer_reference(monkeypatch, d, small
         in_s, _ = _enumerate_all(d)
     else:
         in_s, _ = _sample_coalitions(d, 400, RngStream(d))
+    return net, x, background, in_s
+
+
+def use_small_chunks(monkeypatch):
+    """Chunks of at most 3 coalitions, and fewer where the gather limit binds."""
+    monkeypatch.setattr(explain_mod, "ENCODER_ROWS", 6 * 3)
+    monkeypatch.setattr(explain_mod, "ENCODER_GATHER", 7 * 20)
+
+
+@pytest.mark.parametrize("small_chunks", [False, True])
+@pytest.mark.parametrize("d", [5, 18, 60])
+def test_buffered_encoder_values_match_per_layer_reference(monkeypatch, no_thread_left, d,
+                                                           small_chunks):
+    """Bit for bit on 1, 2, 3 and 8 lanes, also where a chunk holds fewer
+    coalitions than there are lanes (small chunks, 3 or 8 lanes)."""
+    net, x, background, in_s = encoder_case(d)
     if small_chunks:
-        monkeypatch.setattr(explain_mod, "ENCODER_ROWS", 6 * 3)
-        monkeypatch.setattr(explain_mod, "ENCODER_GATHER", 7 * 20)
+        use_small_chunks(monkeypatch)
+    threads = set()
+    activate = explain_mod._activate
+    monkeypatch.setattr(explain_mod, "_activate", lambda *a: threads.add(threading.get_ident())
+                        or activate(*a))
     for folded in (fold_encoder(net), sigmoid_middle(fold_encoder(net)),
                    flat_leaky_first(fold_encoder(net))):
-        got = _encoder_coalition_values(folded, x, background, in_s)
         want = per_layer_encoder_coalition_values(folded, x, background, in_s)
-        assert np.array_equal(got, want)
+        for lanes in (1, 2, 3, 8):
+            threads.clear()
+            got = _encoder_coalition_values(folded, x, background, in_s, lanes)
+            no_thread_left()
+            assert np.array_equal(got, want), lanes
+            # every lane did some of the work: each chunk holds at most 3
+            # coalitions when they are small, and all of one side's when not
+            assert len(threads) == (min(lanes, 3) if small_chunks else lanes)
+
+
+@pytest.mark.parametrize("failing", ["caller", "first chunk", "later chunk"])
+def test_an_exception_in_any_lane_reaches_the_caller(monkeypatch, no_thread_left, failing):
+    """The lane's own exception, raised after every lane is joined."""
+    net, x, background, in_s = encoder_case(18)
+    use_small_chunks(monkeypatch)
+    boom = RuntimeError("activation failed")
+    calls = []
+    activate = explain_mod._activate
+
+    def failing_activate(*args):
+        on_caller = threading.current_thread() is threading.main_thread()
+        if on_caller == (failing == "caller"):
+            calls.append(1)
+            if len(calls) == (5 if failing == "later chunk" else 1):
+                raise boom
+        activate(*args)
+
+    monkeypatch.setattr(explain_mod, "_activate", failing_activate)
+    with pytest.raises(RuntimeError) as caught:
+        _encoder_coalition_values(fold_encoder(net), x, background, in_s, 2)
+    no_thread_left()
+    assert caught.value is boom
+
+
+def test_two_lanes_hold_little_more_memory_than_one():
+    """The lanes share one chunk's buffers: at the process table's shape
+    (d = 52, 100 background rows, layers 128 and 64 wide, 1076 coalitions)
+    the traced peak at 2 lanes is at most 1.1 times the peak at 1 lane. A
+    set of chunk buffers per lane would double it."""
+    d = 52
+    net = build_network(d, [128, 64], 32, RngStream(90))
+    rng = np.random.default_rng(91)
+    background, x = rng.uniform(0, 1, size=(100, d)), rng.uniform(0, 1, size=d)
+    in_s = _plan(d, None, 92).in_s
+    folded = fold_encoder(net)
+    one, two = (peak_bytes(lambda: _encoder_coalition_values(folded, x, background, in_s, lanes))
+                for lanes in (1, 2))
+    assert two <= 1.1 * one
 
 
 @pytest.mark.parametrize("d", [6, 20])
