@@ -11,8 +11,10 @@ caches, with no timestamps, so a re-run reproduces them: the table cache
 (eval, explain, project) reads both while their keys match, picks its
 rows by the model's split and preprocesses only those.
 
-Exit codes: 0 success, 2 input or validation problem, 3 numeric
-divergence during training, 4 internal invariant breach.
+Exit codes: 0 success, 2 input or validation problem (a standard output
+that cannot be written included), 3 numeric divergence during training,
+4 internal invariant breach. Every line a command prints on standard
+output goes through ``say``.
 """
 from __future__ import annotations
 
@@ -44,6 +46,19 @@ from .training import MODES, SvmConfig, TrainConfig, TrainedModel, model_codes, 
 TABLE_CACHE = "table_cache.npy"     # train's parsed table, beside model.json
 
 INPUT_ERRORS = (InputError, ShapeError, StateError, DegenerateDataError, ConditioningError)
+
+
+def say(line: str) -> None:
+    """Print ``line`` on standard output and flush it. A write that fails
+    (a closed pipe, a full device) is an InputError, and standard output
+    then points at os.devnull, so the flush at exit cannot fail again."""
+    try:
+        print(line, flush=True)
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise InputError(f"cannot write standard output: {exc}") from exc
 
 
 def resolve_config(args) -> dict:
@@ -222,7 +237,7 @@ def cmd_preprocess(cfg: dict, args) -> int:
                   (row + [lab] for row, lab in zip(split.features.tolist(),
                                                    split.labels.tolist())))
     write_json(os.path.join(out, "preprocess_report.json"), REPORT.dump(p.report))
-    print(f"wrote train.csv, test.csv, preprocess_report.json to {out}")
+    say(f"wrote train.csv, test.csv, preprocess_report.json to {out}")
     return 0
 
 
@@ -247,9 +262,9 @@ def cmd_train(cfg: dict, args) -> int:
     if not svm.converged:
         print(f"warning: svm update budget ({svm_cfg.max_passes} per row) ran out "
               f"with KKT gap {svm.kkt_gap:.3g} above tol {svm_cfg.tol:g}", file=sys.stderr)
-    print(f"svm: {svm.n_sweeps} pair updates, KKT gap {svm.kkt_gap:.3g}, "
-          f"{svm.dual_coef.size} support vectors")
-    print(f"wrote model.json to {out} (mode {model.mode})")
+    say(f"svm: {svm.n_sweeps} pair updates, KKT gap {svm.kkt_gap:.3g}, "
+        f"{svm.dual_coef.size} support vectors")
+    say(f"wrote model.json to {out} (mode {model.mode})")
     return 0
 
 
@@ -338,8 +353,8 @@ def cmd_eval(cfg: dict, args) -> int:
     write_json(os.path.join(out, "metrics.json"),
                {"mode": model.mode, "split": args.split, "n_rows": int(labels.shape[0]),
                 **report.to_json_dict()})
-    print(f"accuracy {report.accuracy:.4f}  macro-F1 {report.f1:.4f}  "
-          f"({args.split} split, {labels.shape[0]} rows)")
+    say(f"accuracy {report.accuracy:.4f}  macro-F1 {report.f1:.4f}  "
+        f"({args.split} split, {labels.shape[0]} rows)")
     return 0
 
 
@@ -370,14 +385,14 @@ def cmd_explain(cfg: dict, args) -> int:
     else:
         lanes = blas.usable_cpus()
         runs_on = f" on {lanes} lane{'s' * (lanes > 1)}, BLAS 1 thread"
-    print(f"explain: {n_eval} rows x {per_row} coalitions x {n_bg} background rows "
-          f"= {n_eval * per_row * n_bg} coalition rows{runs_on}")
+    say(f"explain: {n_eval} rows x {per_row} coalitions x {n_bg} background rows "
+        f"= {n_eval * per_row * n_bg} coalition rows{runs_on}")
     attr = explain_encoder(model.network, train_x, eval_x,
                            feature_names=kept,
                            n_background=n_bg, n_eval=n_eval,
                            n_coalitions=n_coalitions,
                            seed=substream_seed(cfg["seed"], "shap"),
-                           progress=lambda i: print(f"explain: row {i + 1} of {n_eval}"))
+                           progress=lambda i: say(f"explain: row {i + 1} of {n_eval}"))
     out = _out_dir(cfg)
     names = attr.feature_names
     write_csv(os.path.join(out, "attributions.csv"),
@@ -419,7 +434,7 @@ def cmd_explain(cfg: dict, args) -> int:
     write_csv(os.path.join(out, "dependence.csv"),
               ["feature", "feature_value", "attribution", "color_feature", "color_value"],
               ((names[int(feat_idx)], fv, sv, names[int(color_idx)], cv) for fv, sv, cv in rows))
-    print(f"wrote attribution exports for {n_eval} samples to {out}")
+    say(f"wrote attribution exports for {n_eval} samples to {out}")
     return 0
 
 
@@ -432,7 +447,7 @@ def cmd_project(cfg: dict, args) -> int:
               export["rows"])
     write_json(os.path.join(out, "lda_summary.json"),
                {"split": args.split, **export["summary"]})
-    print(f"dprime {export['summary']['dprime']:.4f} on {args.split} split")
+    say(f"dprime {export['summary']['dprime']:.4f} on {args.split} split")
     return 0
 
 

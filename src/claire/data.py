@@ -21,8 +21,8 @@ start of a file is skipped.
 A loaded table can be kept as a table cache (``write_table_cache``): its
 raw features, labels and names in one binary file, keyed by the digest of
 the loader's options and its source files' bytes (``table_digest``: a
-SHA-256 of each file's 1 MiB chunks, hashed by one thread per usable CPU,
-``blas.usable_cpus``).
+SHA-256 of each file's 1 MiB chunks, hashed on one lane per usable CPU,
+``blas.in_lanes``).
 ``read_table_cache`` gives the table back only while that key still
 matches. It and the model
 bundle's sidecar are keyed records (``write_keyed``, ``read_keyed``).
@@ -34,7 +34,6 @@ import json
 import math
 import mmap
 import os
-import threading
 import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, TextIO
@@ -346,38 +345,22 @@ def _hash_run(fh, chunks: range, size: int, digests: list) -> None:
             digests[k] = h.digest()
 
 
-def _hash_lane(path: str, chunks: range, size: int, digests: list) -> None:
-    """``_hash_run`` on a file of its own; a read that fails leaves the
-    slots of the chunks not yet hashed None."""
-    try:
-        with open(path, "rb", buffering=0) as fh:
-            _hash_run(fh, chunks, size, digests)
-    except (OSError, ValueError):
-        pass
-
-
 def _file_digests(path: str) -> tuple[list[bytes], int]:
     """The SHA-256 of each 1 MiB chunk of ``path``, in order, and its size;
-    an OSError when a chunk cannot be read. The chunks are cut into min(usable
-    CPUs, chunks) runs of neighbours, one per lane. The calling thread is
-    the first lane, so a one-chunk file is hashed inline. hashlib and the
-    reads release the GIL, so the lanes run at the same time."""
+    an OSError when a chunk cannot be read. Lane i of one ``blas.in_lanes``
+    job opens the file on its own and hashes run i of min(usable CPUs,
+    chunks) runs of neighbours, so a one-chunk file is hashed on the calling
+    thread. hashlib and the reads release the GIL, so the lanes overlap."""
     with open(path, "rb", buffering=0) as fh:
         size = os.fstat(fh.fileno()).st_size
-        n = -(-size // _CHUNK)
-        digests: list = [None] * n
-        lanes = max(1, min(blas.usable_cpus(), n))
-        runs = [range(i * n // lanes, (i + 1) * n // lanes) for i in range(lanes)]
-        threads = [threading.Thread(target=_hash_lane, args=(path, run, size, digests))
-                   for run in runs[1:]]
-        try:
-            for thread in threads:
-                thread.start()
-            _hash_run(fh, runs[0], size, digests)
-        finally:
-            for thread in threads:
-                if thread.ident is not None:
-                    thread.join()
+    n = -(-size // _CHUNK)
+    digests: list = [None] * n
+    lanes = max(1, min(blas.usable_cpus(), n))
+
+    def job(lane):
+        with open(path, "rb", buffering=0) as fh:
+            _hash_run(fh, range(lane * n // lanes, (lane + 1) * n // lanes), size, digests)
+    blas.in_lanes(lanes, [job])
     if None in digests:
         raise OSError(f"cannot read {path} in full")
     return digests, size

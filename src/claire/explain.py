@@ -48,17 +48,17 @@ min(s, d - s) changed columns, added to precomputed B W0^T or x W0^T.
 The layers after it run on every coalition row, chunk by chunk, in
 buffers allocated once per call and released when it returns; their
 elementwise passes go slice by slice, so each slice stays in cache. Each
-chunk's coalitions are split across one lane per usable CPU, with BLAS
-held at one thread, and every lane writes only its own rows. At the line
-table's defaults (d = 560, 1584 coalitions, layer widths 128 and 64) layer
-0 sees 36,940 instead of 887,040 column terms per background row. The
-base values and f(x) still come from ``network.encode``.
+chunk's coalitions are split across one lane per usable CPU
+(``blas.in_lanes``), with BLAS held at one thread, and every lane writes
+only its own rows. At the line table's defaults (d = 560, 1584
+coalitions, layer widths 128 and 64) layer 0 sees 36,940 instead of
+887,040 column terms per background row. The base values and f(x) still
+come from ``network.encode``.
 """
 from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,52 +169,6 @@ def _activate(act, a: np.ndarray, scratch: np.ndarray) -> None:
         a[...] = act.apply(a)
 
 
-def _in_lanes(lanes: int, jobs) -> None:
-    """Run each job of the iterable ``jobs`` as ``job(lane)`` on every lane
-    0 .. lanes - 1, one job at a time. The calling thread is lane 0 and
-    draws the next job only once every lane has finished the last one; the
-    other lanes are threads started here and joined before it returns. An
-    exception in any lane is raised here after every lane is joined."""
-    if lanes == 1:
-        for job in jobs:
-            job(0)
-        return
-    barrier = threading.Barrier(lanes)
-    current, failed = [None], []
-
-    def lane(i):
-        try:
-            while True:
-                barrier.wait()
-                current[0](i)
-                barrier.wait()
-        except threading.BrokenBarrierError:     # the caller is done, or a lane failed
-            pass
-        except BaseException as exc:
-            failed.append(exc)
-            barrier.abort()
-
-    threads = [threading.Thread(target=lane, args=(i,)) for i in range(1, lanes)]
-    try:
-        for thread in threads:
-            thread.start()
-        for job in jobs:
-            current[0] = job
-            barrier.wait()
-            job(0)
-            barrier.wait()
-    except threading.BrokenBarrierError:
-        if not failed:
-            raise
-    finally:
-        barrier.abort()
-        for thread in threads:
-            if thread.ident is not None:
-                thread.join()
-    if failed:
-        raise failed[0]
-
-
 def _encoder_coalition_values(folded, x: np.ndarray, background: np.ndarray,
                               in_s: np.ndarray, lanes: int = 1) -> np.ndarray:
     """v(S) for each row of the membership ``in_s`` through the folded
@@ -234,11 +188,11 @@ def _encoder_coalition_values(folded, x: np.ndarray, background: np.ndarray,
 
     The calling thread builds a chunk's padded column lists; the chunk's
     coalitions are then cut into min(``lanes``, coalitions) runs of
-    neighbours, one per lane (``_in_lanes``). Each lane gathers, multiplies,
-    activates and averages its own rows of the shared buffers, with a
-    scratch of its own. A coalition's rows see the same matmuls and passes
-    whichever lane runs them, so with BLAS at one thread the bits are the
-    same at every lane count.
+    neighbours, one per lane, as one ``blas.in_lanes`` job. Each lane
+    gathers, multiplies, activates and averages its own rows of the shared
+    buffers, with a scratch of its own. A coalition's rows see the same
+    matmuls and passes whichever lane runs them, so with BLAS at one thread
+    the bits are the same at every lane count.
     """
     layers, out_scale = folded
     (w0, b0, act0), rest = layers[0], layers[1:]
@@ -310,7 +264,7 @@ def _encoder_coalition_values(folded, x: np.ndarray, background: np.ndarray,
                         scratches[lane])
             yield job
 
-    _in_lanes(lanes, jobs())
+    blas.in_lanes(lanes, jobs())
     return values * out_scale
 
 

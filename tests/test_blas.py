@@ -1,9 +1,9 @@
-"""BLAS held at one thread around ``explain_encoder``, and explain's
-output bytes at any BLAS thread count.
+"""The lane runner ``blas.in_lanes``; BLAS held at one thread around
+``explain_encoder``, and explain's output bytes at any BLAS thread count.
 
-The tests need the thread count setter of the OpenBLAS in numpy's wheel;
-with another BLAS build explain leaves the count alone and its bytes may
-follow it.
+The BLAS tests need the thread count setter of the OpenBLAS in numpy's
+wheel; with another BLAS build explain leaves the count alone and its
+bytes may follow it.
 """
 import contextlib
 import io
@@ -11,6 +11,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
@@ -23,11 +25,68 @@ from claire.network import build_network
 from claire.numerics import RngStream
 from claire.synthetic import make_process_dataset, write_process_file
 
-pytestmark = pytest.mark.skipif(blas.thread_calls() is None,
-                                reason="numpy's BLAS has no thread count setter")
+needs_setter = pytest.mark.skipif(blas.thread_calls() is None,
+                                  reason="numpy's BLAS has no thread count setter")
 
 CLI = "import sys; from claire.cli import main; sys.exit(main(sys.argv[1:]))"
 
+
+# ---- the lane runner; these tests need no thread count setter ----
+
+def test_in_lanes_draws_a_job_only_once_every_lane_finished_the_last(no_thread_left):
+    """Lane 0, the caller, finishes each job first, and lane 2 last."""
+    done, seen = [], []
+
+    def jobs():
+        for k in range(4):
+            seen.append(sorted(done))
+
+            def job(lane, k=k):
+                assert (lane == 0) == (threading.current_thread() is threading.main_thread())
+                time.sleep(0.005 * lane)
+                done.append((k, lane))
+            yield job
+        seen.append(sorted(done))
+
+    blas.in_lanes(3, jobs())
+    no_thread_left()
+    assert seen == [[(j, lane) for j in range(k) for lane in range(3)] for k in range(5)]
+
+
+def test_in_lanes_on_one_lane_runs_every_job_on_the_caller(no_thread_left):
+    threads = threading.active_count()
+    ran = []
+
+    def job(lane):
+        assert threading.active_count() == threads
+        ran.append((lane, threading.current_thread() is threading.main_thread()))
+    blas.in_lanes(1, [job, job, job])
+    no_thread_left()
+    assert ran == [(0, True)] * 3
+
+
+def test_in_lanes_raises_a_lane_exception_on_the_caller_as_it_was(no_thread_left):
+    """Lane 2 fails on the third job: no job is drawn after it, and the
+    caller gets that very exception once every lane is joined."""
+    boom = RuntimeError("lane 2 failed")
+    drawn = []
+
+    def jobs():
+        for k in range(5):
+            drawn.append(k)
+
+            def job(lane, k=k):
+                if (k, lane) == (2, 2):
+                    raise boom
+            yield job
+
+    with pytest.raises(RuntimeError) as caught:
+        blas.in_lanes(3, jobs())
+    no_thread_left()
+    assert caught.value is boom and drawn == [0, 1, 2]
+
+
+# ---- BLAS held at one thread ----
 
 @pytest.fixture(scope="module")
 def small_process(tmp_path_factory):
@@ -51,6 +110,7 @@ def files(directory) -> dict:
     return {name: (directory / name).read_bytes() for name in sorted(os.listdir(directory))}
 
 
+@needs_setter
 def test_explain_writes_the_same_bytes_at_one_and_two_blas_threads(small_process):
     src = os.path.dirname(os.path.dirname(claire.__file__))
     written, plans = [], []
@@ -80,6 +140,7 @@ def three_blas_threads():
     set_threads(before)
 
 
+@needs_setter
 @pytest.mark.parametrize("raises", [False, True])
 def test_explain_encoder_puts_the_blas_thread_count_back(monkeypatch, three_blas_threads,
                                                          raises):
@@ -102,6 +163,7 @@ def test_explain_encoder_puts_the_blas_thread_count_back(monkeypatch, three_blas
     assert get() == 3
 
 
+@needs_setter
 def test_without_a_thread_setter_explain_runs_one_lane_with_the_same_bytes(
         small_process, monkeypatch, no_thread_left, capsys):
     """Both runs see one BLAS thread; the second cannot set the count, so

@@ -1290,6 +1290,38 @@ def test_output_file_that_is_not_writable_exits_two_naming_it(workspace, trained
                                  f"cannot write {target}: {blocked} is not writable")
 
 
+SINKS = ["closed_pipe"] + (["dev_full"] if os.path.exists("/dev/full") else [])
+CLI = "import sys; from claire.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+@pytest.mark.parametrize("sink", SINKS)
+@pytest.mark.parametrize("command", ["eval", "explain"])
+def test_standard_output_that_cannot_be_written_exits_two_in_one_line(workspace, trained,
+                                                                      tmp_path, command, sink):
+    """A pipe whose read end is closed, or a full device: exit 2 with one
+    stderr line, and no second complaint when Python flushes at exit."""
+    import subprocess
+    import sys
+    import claire
+    src = os.path.dirname(os.path.dirname(claire.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = [command, "--dataset", workspace["data"], "--config", workspace["config"],
+            "--model", os.path.join(trained, "model.json"), "--out", str(tmp_path / "out")]
+    if sink == "closed_pipe":
+        read, stdout = os.pipe()
+        os.close(read)
+    else:
+        stdout = os.open("/dev/full", os.O_WRONLY)
+    try:
+        run = subprocess.run([sys.executable, "-c", CLI, *argv], stdout=stdout,
+                             stderr=subprocess.PIPE, env=env, text=True, timeout=300)
+    finally:
+        os.close(stdout)
+    assert run.returncode == 2, run.stderr
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write standard output: ")
+
+
 # ---- rows first: a replay preprocesses only the rows it uses ----
 
 ROWS_FIRST = {"eval_test": ["eval", "--split", "test"],

@@ -385,12 +385,17 @@ def lanes(monkeypatch, no_thread_left):
     """Sets the usable CPU count the digest sees and gives the chunk runs
     hashed on threads other than the caller's; ``no_thread_left`` checks
     that every call left as many threads alive as it found."""
+    import threading
     import claire.blas as blas
     import claire.data as data_mod
     runs = []
-    real = data_mod._hash_lane
-    monkeypatch.setattr(data_mod, "_hash_lane",
-                        lambda path, chunks, *a: runs.append(chunks) or real(path, chunks, *a))
+    real = data_mod._hash_run
+
+    def off_main(fh, chunks, *a):
+        if threading.current_thread() is not threading.main_thread():
+            runs.append(chunks)
+        return real(fh, chunks, *a)
+    monkeypatch.setattr(data_mod, "_hash_run", off_main)
 
     def set_cpus(cpus):
         monkeypatch.setattr(blas, "usable_cpus", lambda: cpus)

@@ -3,7 +3,8 @@ benchmark use: every top-level function and class in ``src/claire`` is
 referenced in the package outside its own definition, or is exported in
 ``claire.__all__``, or is one of the few names listed below with the
 reason it stays. The phase-1 training step builds no dictionary. One
-function reads JSON, and the command line holds no rules of its own."""
+function reads JSON, the command line holds no rules of its own, and only
+``blas`` starts threads."""
 import ast
 import os
 
@@ -135,3 +136,21 @@ def test_one_json_reader_and_one_rule_set():
     with open(os.path.join(SRC, "cli.py"), encoding="utf-8") as fh:
         assert not [node.lineno for node in ast.walk(ast.parse(fh.read()))
                     if _is_value_test(node)]
+
+
+def test_only_blas_imports_threading():
+    """``blas.in_lanes`` is the one lane runner: no other module of the
+    package imports ``threading`` (or ``_thread``, or ``concurrent``)."""
+    importers = []
+    for filename in sorted(os.listdir(SRC)):
+        if not filename.endswith(".py"):
+            continue
+        with open(os.path.join(SRC, filename), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names]
+        names += [node.module for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.module]
+        if any(name.split(".")[0] in ("threading", "_thread", "concurrent") for name in names):
+            importers.append(filename)
+    assert importers == ["blas.py"]
