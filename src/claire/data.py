@@ -22,10 +22,9 @@ A loaded table can be kept as a table cache (``write_table_cache``): its
 raw features, labels and names in one binary file, keyed by the digest of
 the loader's options and its source files' bytes (``table_digest``: a
 SHA-256 of each file's 1 MiB chunks, hashed on one lane per usable CPU,
-``blas.in_lanes``).
-``read_table_cache`` gives the table back only while that key still
-matches. It and the model
-bundle's sidecar are keyed records (``write_keyed``, ``read_keyed``).
+``blas.in_lanes``). ``read_table_cache`` gives the table back only while
+that key still matches. It and the model bundle's sidecar are keyed
+records (``write_keyed``, ``read_keyed``).
 """
 from __future__ import annotations
 

@@ -46,14 +46,13 @@ structure. Its inference layers fold into one affine map per layer
 row only on S and from x only off S, so layer 0 needs only the
 min(s, d - s) changed columns, added to precomputed B W0^T or x W0^T.
 The layers after it run on every coalition row, chunk by chunk, in
-buffers allocated once per call and released when it returns; their
-elementwise passes go slice by slice, so each slice stays in cache. Each
+buffers allocated once per call and released when it returns. Each
 chunk's coalitions are split across one lane per usable CPU
-(``blas.in_lanes``), with BLAS held at one thread, and every lane writes
-only its own rows. At the line table's defaults (d = 560, 1584
-coalitions, layer widths 128 and 64) layer 0 sees 36,940 instead of
-887,040 column terms per background row. The base values and f(x) still
-come from ``network.encode``.
+(``blas.in_lanes``), with BLAS held at one thread; every lane writes only
+its own rows and runs each elementwise pass over them in one go. At the
+line table's defaults (d = 560, 1584 coalitions, layer widths 128 and 64)
+layer 0 sees 36,940 instead of 887,040 column terms per background row.
+The base values and f(x) still come from ``network.encode``.
 """
 from __future__ import annotations
 
@@ -63,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import blas
+from . import blas, network
 from .errors import InputError, InterfaceError, ShapeError
 from .numerics import (RngStream, as_matrix, solve_weighted_least_squares,
                        weighted_normal_matrix)
@@ -72,7 +71,6 @@ EXHAUSTIVE_LIMIT = 12
 ENCODER_ROWS = 4096        # coalition rows (coalitions x background rows) per chunk
 ENCODER_GATHER = 2**18     # gathered layer-0 weights per chunk
 SAMPLE_BLOCK = 1024        # most permutations the coalition sampler draws at once
-SLICE_VALUES = 2**15       # values per slice of the elementwise passes (256 KiB)
 
 
 @dataclass
@@ -152,12 +150,6 @@ def _encoder_chunks(from_x: np.ndarray, n_changed: np.ndarray, n_bg: int, width:
         yield np.array(block)
 
 
-def _slice_rows(n_bg: int, width: int) -> int:
-    """Rows in one slice of the elementwise passes on a ``width``-wide
-    layer: whole coalitions of ``n_bg`` rows, about SLICE_VALUES values."""
-    return max(1, SLICE_VALUES // (n_bg * width)) * n_bg
-
-
 def _activate(act, a: np.ndarray, scratch: np.ndarray) -> None:
     """``a = act.apply(a)`` in place; LeakyReLU with 0 < slope <= 1 goes
     through ``scratch``, at least as large as ``a``, with the same bits."""
@@ -181,18 +173,18 @@ def _encoder_coalition_values(folded, x: np.ndarray, background: np.ndarray,
     min(s, d - s) columns per row enter layer 0. A chunk of coalitions goes
     through layer 0 as one batched matmul, their column lists padded with
     column d, whose D and W0 entries are zero. Every chunk writes into the
-    same buffers, sized for the largest chunk. The elementwise passes after
-    each layer's matmul (P or q, the bias, the activation) run slice by
-    slice, so that a slice stays in cache between passes. They act on each
-    value alone, so slicing keeps their bits.
+    same buffers, sized for the largest chunk.
 
     The calling thread builds a chunk's padded column lists; the chunk's
     coalitions are then cut into min(``lanes``, coalitions) runs of
     neighbours, one per lane, as one ``blas.in_lanes`` job. Each lane
     gathers, multiplies, activates and averages its own rows of the shared
-    buffers, with a scratch of its own. A coalition's rows see the same
-    matmuls and passes whichever lane runs them, so with BLAS at one thread
-    the bits are the same at every lane count.
+    buffers. After each layer's matmul it runs every elementwise pass (P or
+    q, the bias, the activation) once, in place, over all its rows; the
+    LeakyReLU scratch of a lane holds its share of the largest chunk. A
+    coalition's rows see the same matmuls whichever lane runs them, and the
+    passes act on each value alone, so with BLAS at one thread the bits are
+    the same at every lane count.
     """
     layers, out_scale = folded
     (w0, b0, act0), rest = layers[0], layers[1:]
@@ -212,7 +204,7 @@ def _encoder_coalition_values(folded, x: np.ndarray, background: np.ndarray,
     lanes = min(lanes, most_coalitions)
     diff_buf, w0_buf = np.empty(most_gathered * n_bg), np.empty(most_gathered * h0)
     outs = [np.empty(most_coalitions * n_bg * w.shape[0]) for w, _, _ in layers]
-    scratch_size = max(_slice_rows(n_bg, w.shape[0]) * w.shape[0] for w, _, _ in layers)
+    scratch_size = math.ceil(most_coalitions / lanes) * n_bg * max(w.shape[0] for w, _, _ in layers)
     scratches = [np.empty(scratch_size) for _ in range(lanes)]
     values = np.empty((in_s.shape[0], layers[-1][0].shape[0]))
 
@@ -223,24 +215,17 @@ def _encoder_coalition_values(folded, x: np.ndarray, background: np.ndarray,
         # the default, writes straight into ``out``
         np.take(diff_t, idx[lo:hi], axis=0, mode="clip", out=diff_g[lo:hi])
         np.take(w0_t, idx[lo:hi], axis=0, mode="clip", out=w0_g[lo:hi])
-        h = np.matmul(np.swapaxes(diff_g[lo:hi], 1, 2), w0_g[lo:hi],
-                      out=hs[0][lo:hi]).reshape(-1, h0)
-        step = _slice_rows(n_bg, h0)
-        for r in range(0, h.shape[0], step):
-            pre = h[r:r + step]
-            if from_x[block[0]]:
-                np.subtract(x_pre, pre, out=pre)
-            else:
-                by_background = pre.reshape(-1, n_bg, h0)
-                by_background += bg_pre
-            _activate(act0, pre, scratch)
+        pre = np.matmul(np.swapaxes(diff_g[lo:hi], 1, 2), w0_g[lo:hi], out=hs[0][lo:hi])
+        if from_x[block[0]]:
+            np.subtract(x_pre, pre, out=pre)
+        else:
+            pre += bg_pre
+        h = pre.reshape(-1, h0)
+        _activate(act0, h, scratch)
         for (w, b, act), out in zip(rest, hs[1:]):
             h = np.matmul(h, w.T, out=out[lo:hi].reshape(h.shape[0], -1))
-            step = _slice_rows(n_bg, w.shape[0])
-            for r in range(0, h.shape[0], step):
-                a = h[r:r + step]
-                a += b
-                _activate(act, a, scratch)
+            h += b
+            _activate(act, h, scratch)
         values[block[lo:hi]] = h.reshape(hi - lo, n_bg, -1).mean(axis=1)
 
     def jobs():
@@ -503,8 +488,6 @@ def explain_encoder(params, train_features: np.ndarray, test_features: np.ndarra
     cannot be set, BLAS is left alone and the call runs one lane.
     ``progress(i)``, if given, runs after evaluated sample i is attributed.
     """
-    from . import network
-
     train_features = as_matrix(train_features, "training rows")
     test_features = as_matrix(test_features, "test rows")
     explain_plan(train_features.shape[0], test_features.shape[0], test_features.shape[1],

@@ -313,13 +313,9 @@ def kkt_violation(model: SvmModel, features: np.ndarray, y: np.ndarray) -> float
     x = as_matrix(features)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     alpha = full_alphas(model, x.shape[0])
-    margins = y * decision_function(model, x)
-    worst = 0.0
-    for a_i, m_i in zip(alpha, margins):
-        if a_i <= SV_THRESHOLD:
-            worst = max(worst, 1.0 - m_i)              # need m >= 1
-        elif a_i >= model.c - 1e-8:
-            worst = max(worst, m_i - 1.0)              # need m <= 1
-        else:
-            worst = max(worst, abs(m_i - 1.0))         # need m == 1
-    return worst
+    gap = y * decision_function(model, x) - 1.0
+    # alpha = 0 needs margin >= 1, alpha = C needs <= 1, a free alpha needs == 1;
+    # -(m - 1) has the bits of 1 - m up to the sign of zero, which max drops
+    violation = np.select([alpha <= SV_THRESHOLD, alpha >= model.c - 1e-8], [-gap, gap],
+                          np.abs(gap))
+    return max(0.0, float(violation.max()))

@@ -1,10 +1,10 @@
 """The package holds only what its commands, its library API and the
-benchmark use: every top-level function and class in ``src/claire`` is
-referenced in the package outside its own definition, or is exported in
-``claire.__all__``, or is one of the few names listed below with the
-reason it stays. The phase-1 training step builds no dictionary. One
-function reads JSON, the command line holds no rules of its own, and only
-``blas`` starts threads."""
+benchmark use: every top-level function, class and assignment (dunders
+aside) in ``src/claire`` is read in the package outside its own
+definition, or is exported in ``claire.__all__``, or is one of the few
+names listed below with the reason it stays. The phase-1 training step
+builds no dictionary. One function reads JSON, the command line holds no
+rules of its own, and only ``blas`` starts threads."""
 import ast
 import os
 
@@ -24,10 +24,20 @@ KEPT_MODULES = {
 }
 
 
+def _assigned(stmt) -> list[str]:
+    """The names a top-level statement that is not a def or class assigns,
+    also inside a ``try`` or ``if``, dunders aside."""
+    targets = [t for node in ast.walk(stmt) if isinstance(node, (ast.Assign, ast.AnnAssign))
+               for t in (node.targets if isinstance(node, ast.Assign) else [node.target])]
+    return list(dict.fromkeys(t.id for t in targets if isinstance(t, ast.Name)
+                              and not (t.id.startswith("__") and t.id.endswith("__"))))
+
+
 def _definitions_and_references():
-    """(module, name) of every top-level def and class, and for each
-    identifier the set of (module, enclosing top-level name) it is used in;
-    the enclosing name is None outside a def or class."""
+    """(module, name) of every top-level def, class and assignment, and for
+    each identifier the set of (module, enclosing top-level name) it is read
+    in; the enclosing name is the assigned one for a statement that assigns
+    one name, and None elsewhere outside a def or class."""
     defined, used = [], {}
     for filename in sorted(os.listdir(SRC)):
         if not filename.endswith(".py"):
@@ -40,8 +50,12 @@ def _definitions_and_references():
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 owner = stmt.name
                 defined.append((module, owner))
+            else:
+                names = _assigned(stmt)
+                defined += [(module, name) for name in names]
+                owner = names[0] if len(names) == 1 else None
             for node in ast.walk(stmt):
-                if isinstance(node, ast.Name):
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                     used.setdefault(node.id, set()).add((module, owner))
                 elif isinstance(node, ast.Attribute):
                     used.setdefault(node.attr, set()).add((module, owner))

@@ -369,6 +369,40 @@ def test_gives_up_with_converged_false():
     assert m.kkt_gap > 1e-6
 
 
+def loop_kkt_violation(model, x, y):
+    """The row-by-row form ``kkt_violation`` replaced: each row's KKT
+    condition tested on its own, the largest violation kept."""
+    alpha = full_alphas(model, x.shape[0])
+    margins = y * decision_function(model, x)
+    worst = 0.0
+    for a_i, m_i in zip(alpha, margins):
+        if a_i <= SV_THRESHOLD:
+            worst = max(worst, 1.0 - m_i)              # need m >= 1
+        elif a_i >= model.c - 1e-8:
+            worst = max(worst, m_i - 1.0)              # need m <= 1
+        else:
+            worst = max(worst, abs(m_i - 1.0))         # need m == 1
+    return worst
+
+
+def test_kkt_violation_matches_the_row_by_row_loop():
+    """Exactly the loop's value on models with zero, free and bounded
+    multipliers, converged or stopped after one pass."""
+    x, y, _ = _cloud_problem(offset=0.4, std=0.5)
+    seen, unconverged = set(), 0
+    for kernel in (KernelSpec.rbf(0.5), KernelSpec.linear()):
+        for c in (0.1, 1.0, 10.0):
+            for max_passes in (1, 100):
+                m = smo_train(x, y, kernel, c=c, max_passes=max_passes)
+                a = full_alphas(m, len(y))
+                seen |= {"zero"} if (a <= SV_THRESHOLD).any() else set()
+                seen |= {"bounded"} if (a >= c - 1e-8).any() else set()
+                seen |= {"free"} if ((a > SV_THRESHOLD) & (a < c - 1e-8)).any() else set()
+                unconverged += not m.converged
+                assert kkt_violation(m, x, y) == loop_kkt_violation(m, x, y), (kernel, c)
+    assert seen == {"zero", "free", "bounded"} and unconverged >= 1
+
+
 def test_training_determinism():
     x, y, _ = _cloud_problem()
     m1 = smo_train(x, y, KernelSpec.rbf(0.5), c=3.0)
