@@ -283,13 +283,15 @@ def _replay(model: TrainedModel, cfg: dict, args) -> TabularDataset:
     """Every raw row of the dataset, once its columns are checked against
     the ones the bundle's preprocessing kept. The raw table comes from the
     table cache beside the bundle when its key matches the dataset, else
-    from the loader.
+    from the loader. A table the loader gave that passes the column check
+    is written as that cache, unless a source file changed while it was
+    read; a cache that cannot be written is left as it was.
     """
     ds = _dataset(cfg["dataset"] or model.dataset)
     cache = os.path.join(os.path.dirname(_bundle_path(cfg, args)), TABLE_CACHE)
-    raw = data_mod.read_table_cache(cache, *_source(ds))
+    raw, key = data_mod.read_table_cache(cache, *_source(ds)), None
     if raw is None:
-        raw = load_dataset(ds)
+        raw, key = data_mod.load_keyed(lambda: load_dataset(ds), *_source(ds))
     p, threshold = model.preprocessing, model.preprocess["drop_threshold"]
     if raw.features.shape[1] == len(p.original_names):
         fraction, drop = data_mod.missing_census(raw.features, threshold)
@@ -305,6 +307,11 @@ def _replay(model: TrainedModel, cfg: dict, args) -> TabularDataset:
             raise ClaireError("replayed preprocessing kept a different column set than the model "
                               f"bundle records: {why}; the dataset does not match the one "
                               "trained on")
+        if key is not None:
+            try:
+                data_mod.write_table_cache(cache, key, raw)
+            except InputError:
+                pass        # the next replay parses the text again, as this one did
     return raw
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from functools import reduce
 
@@ -111,6 +112,9 @@ _SVM = _section(SvmModel, [
                              lambda a: [int(i) for i in a])),
     ("bias", FINITE), ("converged", _plain(lambda v: isinstance(v, bool), "true or false")),
     ("n_sweeps", _integer(0)),
+    # the solver's final gap; null, or a bundle written before it was kept, is NaN
+    ("kkt_gap", _via(_nullable(FINITE), lambda v: math.nan if v is None else v,
+                     lambda gap: None if math.isnan(gap) else gap), None),
 ], _svm_check)
 
 

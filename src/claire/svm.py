@@ -10,12 +10,14 @@ solver stops when the two-threshold gap of Keerthi et al. 2001 falls to
 
 Labels are +1 / -1 inside this module. 0 / 1 mapping happens in training.
 
-The training Gram is the largest array claire makes, so ``smo_train``
-keeps it out of the C heap: it first hands the heap's free pages back to
-the system, then fills the Gram in an anonymous map of its own, which goes
-back to the system when the Gram is released. Its peak is then the live
-data plus one Gram, whatever earlier work in the same process left in the
-heap.
+``smo_train`` solves over the distinct (row, label) pairs it is given,
+each bounded by C times its copies, so an oversampled training set costs
+no more than its distinct rows. Their Gram is still the largest array
+``train`` makes, so ``smo_train`` keeps it out of the C heap: it first
+hands the heap's free pages back to the system, then fills the Gram in an
+anonymous map of its own, which goes back to the system when the Gram is
+released. Its peak is then the live data plus one Gram, whatever earlier
+work in the same process left in the heap.
 """
 from __future__ import annotations
 
@@ -142,11 +144,13 @@ def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray,
 class SvmModel:
     """Trained classifier: support vectors with their signed multipliers.
 
-    dual_coef[i] = alpha_i * y_i for support vector i (alpha_i > 1e-10).
-    ``converged`` is False when the update budget ran out before the KKT gap
-    fell to the tolerance; the model is still usable. ``n_sweeps`` counts
-    the pair updates the solver made and ``kkt_gap`` is its final gap
-    m - M. Bundles do not store the gap, so it is NaN on a loaded model.
+    dual_coef[i] = alpha_i * y_i for support vector i (alpha_i > 1e-10), and
+    support_indices[i] is its index among the rows ``smo_train`` was given,
+    copies included. ``converged`` is False when the update budget ran out
+    before the KKT gap fell to the tolerance; the model is still usable.
+    ``n_sweeps`` counts the pair updates the solver made and ``kkt_gap`` is
+    its final gap m - M. Bundles store the gap; one written before they
+    did loads with NaN.
     """
     kernel: KernelSpec
     c: float
@@ -173,29 +177,67 @@ def predict_labels(model: SvmModel, z: np.ndarray) -> np.ndarray:
     return (decision_function(model, z) >= 0.0).astype(np.int64)
 
 
-def _pair_updates(gram: np.ndarray, y: np.ndarray, c: float):
+def _clip_pair(differ: bool, old_i: float, old_j: float, step: float,
+               c_i: float, c_j: float) -> tuple[float, float]:
+    """The pair (a_i, a_j) moved by ``step`` along its constraint line, both
+    up when the labels differ (a_i - a_j fixed), else a_i down and a_j up
+    (a_i + a_j fixed), then clipped back into the box [0, c_i] x [0, c_j]:
+    LIBSVM's two-bound clip (Chang & Lin 2011), which is the one-bound clip
+    when c_i == c_j."""
+    if differ:
+        diff = old_i - old_j
+        a_i, a_j = old_i + step, old_j + step
+        if diff > 0:
+            if a_j < 0:
+                a_i, a_j = diff, 0.0
+        elif a_i < 0:
+            a_i, a_j = 0.0, -diff
+        if diff > c_i - c_j:
+            if a_i > c_i:
+                a_i, a_j = c_i, c_i - diff
+        elif a_j > c_j:
+            a_i, a_j = c_j + diff, c_j
+    else:
+        total = old_i + old_j
+        a_i, a_j = old_i - step, old_j + step
+        if total > c_i:
+            if a_i > c_i:
+                a_i, a_j = c_i, total - c_i
+        elif a_j < 0:
+            a_i, a_j = total, 0.0
+        if total > c_j:
+            if a_j > c_j:
+                a_i, a_j = total - c_j, c_j
+        elif a_i < 0:
+            a_i, a_j = 0.0, total
+    return a_i, a_j
+
+
+def _pair_updates(gram: np.ndarray, y: np.ndarray, c):
     """The solver's iterates, without end. Yields (alpha, G, gap) for
     alpha = 0 and after each pair update, then makes the next update when
     resumed; alpha and G are the solver's own arrays, updated in place.
 
-    Minimizes 0.5 a'Qa - sum(a) over 0 <= a <= C, y'a = 0, with
-    Q_ij = y_i y_j K_ij, keeping the gradient G = Qa - 1. Each update takes
-    i as the worst violator in I_up = {a < C, y = +1} | {a > 0, y = -1},
-    i.e. the row with the largest -y G, then j in I_low (the mirror set)
-    with the largest second-order gain b^2 / a, where b is the violation of
-    the pair and a = K_ii + K_jj - 2 K_ij its curvature. The pair moves to
-    the clipped maximizer of the dual along y_i a_i + y_j a_j = const, and
-    G follows in O(n) from Gram rows i and j. ``gap`` is m - M, the largest
-    -y G over I_up less the smallest over I_low.
+    Minimizes 0.5 a'Qa - sum(a) over 0 <= a_k <= C_k, y'a = 0, with
+    Q_ij = y_i y_j K_ij and C the bound ``c``, one for every row or one per
+    row, keeping the gradient G = Qa - 1. Each update takes i as the worst
+    violator in I_up = {a < C, y = +1} | {a > 0, y = -1}, i.e. the row with
+    the largest -y G, then j in I_low (the mirror set) with the largest
+    second-order gain b^2 / a, where b is the violation of the pair and
+    a = K_ii + K_jj - 2 K_ij its curvature. The pair moves to the clipped
+    maximizer of the dual along y_i a_i + y_j a_j = const (``_clip_pair``),
+    and G follows in O(n) from Gram rows i and j. ``gap`` is m - M, the
+    largest -y G over I_up less the smallest over I_low.
     """
     diag = gram.diagonal()
     positive = y > 0
+    bound = np.broadcast_to(np.asarray(c, dtype=np.float64), y.shape)
     alpha = np.zeros(y.shape[0])
     grad = -np.ones(y.shape[0])
     while True:
         score = -y * grad
-        up = np.where(positive, alpha < c, alpha > 0)
-        low = np.where(positive, alpha > 0, alpha < c)
+        up = np.where(positive, alpha < bound, alpha > 0)
+        low = np.where(positive, alpha > 0, alpha < bound)
         score_up = np.where(up, score, -np.inf)
         i = int(np.argmax(score_up))
         top = score_up[i]
@@ -210,46 +252,51 @@ def _pair_updates(gram: np.ndarray, y: np.ndarray, c: float):
         j = int(np.argmax(gain))
 
         old_i, old_j = alpha[i], alpha[j]
-        quad = curv[j]
-        if y[i] != y[j]:
-            step = (-grad[i] - grad[j]) / quad
-            diff = old_i - old_j
-            a_i, a_j = old_i + step, old_j + step
-            if diff > 0:
-                if a_j < 0:
-                    a_i, a_j = diff, 0.0
-                elif a_i > c:
-                    a_i, a_j = c, c - diff
-            elif a_i < 0:
-                a_i, a_j = 0.0, -diff
-            elif a_j > c:
-                a_i, a_j = c + diff, c
-        else:
-            step = (grad[i] - grad[j]) / quad
-            total = old_i + old_j
-            a_i, a_j = old_i - step, old_j + step
-            if total > c:
-                if a_i > c:
-                    a_i, a_j = c, total - c
-                elif a_j > c:
-                    a_i, a_j = total - c, c
-            elif a_j < 0:
-                a_i, a_j = total, 0.0
-            elif a_i < 0:
-                a_i, a_j = 0.0, total
+        differ = y[i] != y[j]
+        step = ((-grad[i] - grad[j]) if differ else (grad[i] - grad[j])) / curv[j]
+        a_i, a_j = _clip_pair(differ, old_i, old_j, step, float(bound[i]), float(bound[j]))
         alpha[i], alpha[j] = a_i, a_j
         # Q rows on demand: Q_k = y_k * y * K_k
         grad += y * (y[i] * (a_i - old_i) * k_i + y[j] * (a_j - old_j) * gram[j])
+
+
+def _distinct_rows(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first row of each bit-identical (row, label) group, in the order
+    the groups first appear, and each row's group number in that order."""
+    keys = np.ascontiguousarray(np.column_stack([x, y]))
+    keys = keys.view(np.dtype((np.void, keys.dtype.itemsize * keys.shape[1]))).ravel()
+    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[group.reshape(-1)]
+
+
+def _copy_alphas(merged: np.ndarray, group: np.ndarray, c: float) -> np.ndarray:
+    """One multiplier per given row: a group's merged multiplier a fills its
+    copies up to C in input order, copy q getting min(C, max(0, a - q C))."""
+    rows = np.argsort(group, kind="stable")
+    starts = np.searchsorted(group[rows], group[rows])
+    copy = np.empty_like(group)
+    copy[rows] = np.arange(group.size) - starts
+    return np.minimum(c, np.maximum(0.0, merged[group] - copy * c))
 
 
 def smo_train(features: np.ndarray, y: np.ndarray, kernel: KernelSpec,
               c: float = 1.0, tol: float = 1e-3, max_passes: int = 100) -> SvmModel:
     """Train on labels in {-1, +1} by the pair updates of ``_pair_updates``.
 
+    m copies of one (row, label) enter the dual only through the sum of
+    their multipliers, which lies in [0, m C]. So the solve runs over the
+    bit-distinct (row, label) pairs, each bounded by C times its copies
+    (the instance-weighted C-SVM of Osuna, Freund & Girosi 1997), with a
+    Gram of the distinct rows only; without copies, every bound is C. An
+    open gamma is resolved on every row given. ``_copy_alphas`` then gives
+    each given row a multiplier of at most C.
+
     Stops successfully (converged=True) when the gap m - M is at most
     ``tol``, or gives up (converged=False) after ``max_passes * n`` pair
-    updates. The bias is recomputed at the end from the unbounded support
-    vectors, falling back to the midpoint of the feasible interval the bound
+    updates, n counting the rows given, copies included. The bias is
+    recomputed at the end from the multipliers strictly inside their own
+    bounds, falling back to the midpoint of the feasible interval the bound
     multipliers imply.
     """
     x = as_matrix(features, "training features")
@@ -266,29 +313,33 @@ def smo_train(features: np.ndarray, y: np.ndarray, kernel: KernelSpec,
         raise InputError(f"stopping tolerance must be positive, got {tol}")
 
     kernel = resolve_kernel(kernel, x)
+    first, group = _distinct_rows(x, y)
+    xd, yd, bound = x[first], y[first], c * np.bincount(group)
     if _malloc_trim is not None:     # the heap's free pages go back to the system
         _malloc_trim(0)
-    gram = kernel_matrix(kernel, x, x, out=_mapped_matrix(x.shape[0], x.shape[0]))
+    gram = kernel_matrix(kernel, xd, xd, out=_mapped_matrix(xd.shape[0], xd.shape[0]))
     updates = 0
-    for alpha, _, gap in _pair_updates(gram, y, c):
+    for merged, _, gap in _pair_updates(gram, yd, bound):
         if gap <= tol or updates >= max_passes * x.shape[0]:
             break
         updates += 1
 
     # final bias per the KKT system
-    g = (alpha * y) @ gram
-    unbounded = (alpha > 1e-8 * c) & (alpha < c * (1 - 1e-8))
+    g = (merged * yd) @ gram
+    at_zero, at_bound = merged <= 1e-8 * bound, merged >= bound * (1 - 1e-8)
+    unbounded = ~at_zero & ~at_bound
     if unbounded.any():
-        b = float(np.mean(y[unbounded] - g[unbounded]))
+        b = float(np.mean(yd[unbounded] - g[unbounded]))
     else:
         # every multiplier is at a bound. Neither set is empty: that needs one
-        # class all at C and the other all at 0, so y'alpha = +-n*C, while the
-        # pair updates keep y'alpha = 0 and both classes are present
-        margins = y - g
-        lower_set = ((alpha <= 1e-8 * c) & (y > 0)) | ((alpha >= c * (1 - 1e-8)) & (y < 0))
-        upper_set = ((alpha <= 1e-8 * c) & (y < 0)) | ((alpha >= c * (1 - 1e-8)) & (y > 0))
+        # class all at its bounds and the other all at 0, so y'alpha != 0,
+        # while the pair updates keep y'alpha = 0 and both classes are present
+        margins = yd - g
+        lower_set = (at_zero & (yd > 0)) | (at_bound & (yd < 0))
+        upper_set = (at_zero & (yd < 0)) | (at_bound & (yd > 0))
         b = float(0.5 * (margins[lower_set].max() + margins[upper_set].min()))
 
+    alpha = _copy_alphas(merged, group, c)
     sv_mask = alpha > SV_THRESHOLD
     return SvmModel(
         kernel=kernel, c=float(c),

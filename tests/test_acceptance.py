@@ -172,11 +172,22 @@ def test_svm_solver_oracles(capsys):
     grid4, _ = grid_qp_duals(oracle_gram(x4, "linear"), y4, 5.0)
     lin_dev = float(np.abs(full_alphas(m4, 4) - grid4).max())
 
+    # both problems with their rows given 2, 3, 1 and 2 times: no oracle
+    # multiplier is at C, so each row's copies sum to the oracle's multiplier
+    rows = np.repeat(np.arange(4), [2, 3, 1, 2])
+    copies_dev = 0.0
+    for x, y, spec, c, want in ((XOR_X, XOR_Y, KernelSpec.rbf(1.0), 10.0, grid_xor),
+                                (x4, y4, KernelSpec.linear(), 5.0, grid4)):
+        m = smo_train(x[rows], y[rows], spec, c=c, tol=1e-5)
+        summed = np.bincount(rows, weights=full_alphas(m, rows.size), minlength=4)
+        copies_dev = max(copies_dev, float(np.abs(summed - want).max()))
+
     elapsed = time.perf_counter() - t0
-    duals_ok = xor_dev <= 1e-4 and lin_dev <= 1e-4
+    duals_ok = xor_dev <= 1e-4 and lin_dev <= 1e-4 and copies_dev <= 1e-4
     ok = acc_ok and kkt_ok and duals_ok and elapsed < 60.0
     _report(capsys, "svm-solver-oracles", ok,
-            f"xor dual dev {xor_dev:.2e}, linear dev {lin_dev:.2e}, {elapsed:.1f}s")
+            f"xor dual dev {xor_dev:.2e}, linear dev {lin_dev:.2e}, "
+            f"copies dev {copies_dev:.2e}, {elapsed:.1f}s")
     assert ok
 
 

@@ -945,8 +945,30 @@ def test_null_bundle_preprocess_block_takes_the_defaults(workspace, trained, tmp
     assert metrics[0] == metrics[1]
 
 
+def test_bundle_without_the_solver_gap_replays_the_same_outputs(workspace, trained, tmp_path,
+                                                                capsys):
+    """A bundle written before the gap was kept (no svm.kkt_gap) loads and
+    writes what the bundle with it writes, for every replay command."""
+    doc = json.load(open(os.path.join(trained, "model.json")))
+    assert isinstance(doc["svm"].pop("kkt_gap"), float)
+    old = tmp_path / "old"
+    old.mkdir()
+    (old / "model.json").write_text(json.dumps(doc))
+    outputs = []
+    for name, bundle in (("with", os.path.join(trained, "model.json")),
+                         ("without", str(old / "model.json"))):
+        out = tmp_path / f"out_{name}"
+        for argv in (["eval", "--split", "all"], ["explain", "--n-eval", "2"], ["project"]):
+            assert main([*argv, "--dataset", workspace["data"], "--config",
+                         workspace["config"], "--model", bundle, "--out", str(out)]) == 0
+        capsys.readouterr()
+        outputs.append({name: (out / name).read_bytes() for name in sorted(os.listdir(out))})
+    assert len(outputs[0]) > 3 and outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("edit,key", [
     (lambda doc: doc["svm"].update(bias="x"), ": svm.bias must be"),
+    (lambda doc: doc["svm"].update(kkt_gap="x"), ": svm.kkt_gap must be"),
     (lambda doc: doc["svm"].update(dual_coef=doc["svm"]["dual_coef"][:-1]), ": svm.dual_coef "),
     (lambda doc: doc["svm"]["kernel"].update(gamma=None), ": svm.kernel.gamma must be"),
     (lambda doc: doc["network"]["encoder"][0]["activation"].update(slope="x"),
@@ -960,9 +982,9 @@ def test_null_bundle_preprocess_block_takes_the_defaults(workspace, trained, tmp
     (lambda doc: doc["network"]["encoder"][0].update(bogus=1),
      ": network.encoder[0].bogus is unknown"),
     (lambda doc: doc.update(epoch_log=doc.pop("epoch_logs")), ": epoch_log is unknown"),
-], ids=["svm.bias", "svm.dual_coef", "svm.kernel.gamma", "encoder.slope", "encoder.bias",
-        "encoder.gamma", "unknown", "svm.unknown", "svm.kernel.unknown", "encoder.unknown",
-        "epoch_log"])
+], ids=["svm.bias", "svm.kkt_gap", "svm.dual_coef", "svm.kernel.gamma", "encoder.slope",
+        "encoder.bias", "encoder.gamma", "unknown", "svm.unknown", "svm.kernel.unknown",
+        "encoder.unknown", "epoch_log"])
 def test_bad_bundle_value_exits_two_naming_its_section(trained, tmp_path, no_loader, capsys,
                                                        edit, key):
     doc = json.load(open(os.path.join(trained, "model.json")))
@@ -1453,7 +1475,7 @@ def test_cache_hit_writes_what_a_parse_writes(cached, tmp_path, parses, capsys, 
     assert parses == []
     miss = _replay_all(case, _copy_model(case, tmp_path / "uncached", cache=False),
                        case["spec"], str(tmp_path / "miss"), capsys)
-    assert len(parses) == len(REPLAYS)
+    assert len(parses) == 1         # the first replay writes the cache the others hit
     assert all(hit[name][0] == 0 for name in REPLAYS)
     assert len(hit) > 2 * len(REPLAYS) and hit == miss
 
@@ -1501,12 +1523,51 @@ def test_cache_miss_gives_the_parse_result(cached, tmp_path, parses, capsys, kin
     elif change == "deleted_source":
         os.remove(files[-1])
     got = _replay_all(case, with_cache, spec, str(tmp_path / "got"), capsys)
-    assert len(parses) == len(REPLAYS)
+    # a replay that reads the table rewrites the cache the next ones hit
+    assert len(parses) == (len(REPLAYS) if change in ("bad_token", "deleted_source") else 1)
     want = _replay_all(case, _copy_model(case, tmp_path / "uncached", cache=False), spec,
                        str(tmp_path / "want"), capsys)
     assert got == want
     codes = {got[name][0] for name in REPLAYS}
     assert codes == ({2} if change in ("bad_token", "deleted_source") else {0})
+
+
+def test_replay_rewrites_a_foreign_cache_once(cached, tmp_path, parses, capsys):
+    """A replay that misses the cache writes the one train would have
+    written, so the next replay parses nothing."""
+    import shutil
+    case = cached["secom"]
+    model = _copy_model(case, tmp_path / "model")
+    cache = os.path.join(model, "table_cache.npy")
+    shutil.copy(os.path.join(cached["tep"]["model"], "table_cache.npy"), cache)
+    first = _replay_all(case, model, case["spec"], str(tmp_path / "first"), capsys,
+                        {"eval_test": REPLAYS["eval_test"]})
+    assert len(parses) == 1
+    assert open(cache, "rb").read() == open(os.path.join(case["model"], "table_cache.npy"),
+                                            "rb").read()
+    again = _replay_all(case, model, case["spec"], str(tmp_path / "again"), capsys,
+                        {"eval_test": REPLAYS["eval_test"]})
+    assert len(parses) == 1
+    assert first == again and first["eval_test"][0] == 0
+    assert not [name for name in os.listdir(model) if name.endswith(".tmp")]
+
+
+def test_replay_that_cannot_rewrite_the_cache_gives_the_same_result(cached, tmp_path, parses,
+                                                                    capsys):
+    """A cache write that fails (here the cache's name is taken by a
+    directory) is skipped: the replays' outputs and exit codes are those of
+    replays that wrote it, and each of them parses the text."""
+    case = cached["tep"]
+    want = _replay_all(case, _copy_model(case, tmp_path / "writable", cache=False),
+                       case["spec"], str(tmp_path / "want"), capsys)
+    model = _copy_model(case, tmp_path / "blocked", cache=False)
+    os.mkdir(os.path.join(model, "table_cache.npy"))
+    del parses[:]
+    got = _replay_all(case, model, case["spec"], str(tmp_path / "got"), capsys)
+    assert got == want and {got[name][0] for name in REPLAYS} == {0}
+    assert len(parses) == len(REPLAYS)
+    assert sorted(os.listdir(model)) == sorted(os.listdir(case["model"]))     # no .tmp left
+    assert os.path.isdir(os.path.join(model, "table_cache.npy"))
 
 
 def test_cache_hits_a_byte_identical_copy_elsewhere(cached, tmp_path, parses, capsys):

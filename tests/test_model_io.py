@@ -60,6 +60,36 @@ def test_resave_is_byte_identical(tmp_path):
     assert open(first, "rb").read() == open(second, "rb").read()
 
 
+def test_bundle_keeps_the_solver_gap_bit_for_bit(tmp_path):
+    """The gap comes back bit for bit, from the sidecar and from the JSON."""
+    model = _small_model()
+    path = str(tmp_path / "model.json")
+    save_bundle(path, model)
+    gap = model.svm.kkt_gap
+    assert math.isfinite(gap) and json.load(open(path))["svm"]["kkt_gap"] == gap
+    assert load_bundle(path).svm.kkt_gap.hex() == gap.hex()
+    os.remove(tmp_path / "model_cache.npy")
+    assert load_bundle(path).svm.kkt_gap.hex() == gap.hex()
+
+
+def test_bundle_without_the_gap_loads_with_nan_and_predicts_the_same(tmp_path):
+    """A bundle written before the gap was kept loads with a NaN gap, which
+    a re-save writes as null and reads back as NaN."""
+    model = _small_model()
+    doc = json.loads(json.dumps(bundle_dict(model)))
+    del doc["svm"]["kkt_gap"]
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(doc))
+    loaded = load_bundle(str(old))
+    assert math.isnan(loaded.svm.kkt_gap)
+    probe = np.random.default_rng(4).uniform(0.0, 1.0, (25, 4))
+    assert np.array_equal(predict(model, probe), predict(loaded, probe))
+    resaved = str(tmp_path / "resaved.json")
+    save_bundle(resaved, loaded)
+    assert json.load(open(resaved))["svm"]["kkt_gap"] is None
+    assert math.isnan(load_bundle(resaved).svm.kkt_gap)
+
+
 def test_rawsvm_bundle_has_no_network(tmp_path):
     model = _small_model(mode="RawSVM")
     path = str(tmp_path / "raw.json")

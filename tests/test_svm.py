@@ -14,7 +14,7 @@ import pytest
 
 from claire.errors import DegenerateDataError, InputError, ShapeError
 import claire.svm as svm_mod
-from claire.svm import (BLOCK, SV_THRESHOLD, KernelSpec, SvmModel, _pair_updates,
+from claire.svm import (BLOCK, SV_THRESHOLD, KernelSpec, SvmModel, _clip_pair, _pair_updates,
                         decision_function, full_alphas, kernel_matrix, kkt_violation,
                         predict_labels, resolve_kernel, smo_train)
 
@@ -311,6 +311,163 @@ def test_duplicating_training_rows_keeps_decisions():
     d2 = decision_function(m2, probe)
     assert np.array_equal(d1 >= 0, d2 >= 0)
     assert np.abs(d1 - d2).max() < 0.05
+
+
+def one_bound_clip(differ, old_i, old_j, step, c):
+    """The clip for one bound C shared by every row, as the solver made it
+    before bounds were per row: the reference for ``_clip_pair`` at
+    c_i == c_j."""
+    if differ:
+        diff = old_i - old_j
+        a_i, a_j = old_i + step, old_j + step
+        if diff > 0:
+            if a_j < 0:
+                a_i, a_j = diff, 0.0
+            elif a_i > c:
+                a_i, a_j = c, c - diff
+        elif a_i < 0:
+            a_i, a_j = 0.0, -diff
+        elif a_j > c:
+            a_i, a_j = c + diff, c
+    else:
+        total = old_i + old_j
+        a_i, a_j = old_i - step, old_j + step
+        if total > c:
+            if a_i > c:
+                a_i, a_j = c, total - c
+            elif a_j > c:
+                a_i, a_j = total - c, c
+        elif a_j < 0:
+            a_i, a_j = total, 0.0
+        elif a_i < 0:
+            a_i, a_j = 0.0, total
+    return a_i, a_j
+
+
+def _random_pair(rng, c_i, c_j):
+    """Feasible multipliers, at a bound a quarter of the time each."""
+    old = [rng.choice([0.0, bound, rng.uniform(0.0, bound)], p=[0.25, 0.25, 0.5])
+           for bound in (c_i, c_j)]
+    return np.float64(old[0]), np.float64(old[1])
+
+
+def test_two_bound_clip_at_equal_bounds_is_the_one_bound_clip_bit_for_bit():
+    rng = np.random.default_rng(28)
+    for _ in range(20000):
+        c = float(rng.choice([1e-6, 0.1, 1.0, 10.0]))
+        differ = bool(rng.integers(2))
+        old_i, old_j = _random_pair(rng, c, c)
+        step = np.float64(rng.normal(0.0, rng.choice([0.01, 1.0, 10.0]) * c))
+        got = np.array(_clip_pair(differ, old_i, old_j, step, c, c), dtype=np.float64)
+        want = np.array(one_bound_clip(differ, old_i, old_j, step, c), dtype=np.float64)
+        assert got.tobytes() == want.tobytes(), (differ, old_i, old_j, step, c)
+
+
+def test_two_bound_clip_maximizes_the_pair_dual_in_its_box():
+    """For unequal bounds, the clipped pair is feasible and no point of a
+    fine grid over the pair's feasible segment has a lower objective
+    0.5 a'Qa - sum(a), restricted to the pair with the other multipliers
+    held (their effect is in the gradient G)."""
+    rng = np.random.default_rng(29)
+    for _ in range(300):
+        c_i, c_j = rng.choice([0.1, 1.0, 2.0, 3.0, 10.0], size=2, replace=False)
+        y = rng.choice([-1.0, 1.0], size=2)
+        v = rng.normal(size=(2, 3))
+        k = v @ v.T
+        q = np.outer(y, y) * k
+        old = np.array(_random_pair(rng, c_i, c_j))
+        grad = rng.normal(0.0, 2.0, size=2)
+        differ = y[0] != y[1]
+        curv = k[0, 0] + k[1, 1] - 2.0 * k[0, 1]
+        step = ((-grad[0] - grad[1]) if differ else (grad[0] - grad[1])) / curv
+        a = np.array(_clip_pair(differ, old[0], old[1], step, c_i, c_j))
+        sign = 1.0 if differ else -1.0          # a_i moves by sign * t when a_j moves by t
+
+        def objective(t):
+            d = np.stack([sign * t, t])
+            return grad @ d + 0.5 * np.einsum("i...,ij,j...->...", d, q, d)
+        lo = max(-old[1], (-old[0] if differ else old[0] - c_i))
+        hi = min(c_j - old[1], (c_i - old[0] if differ else old[0]))
+        t = a[1] - old[1]
+        assert lo - 1e-12 <= t <= hi + 1e-12
+        assert a[0] == pytest.approx(old[0] + sign * t, abs=1e-12)
+        assert -1e-12 <= a[0] <= c_i + 1e-12 and -1e-12 <= a[1] <= c_j + 1e-12
+        grid = np.linspace(lo, hi, 20001)
+        assert objective(t) <= objective(grid).min() + 1e-12 * (1.0 + abs(objective(t)))
+
+
+def _copied_problem(rng, n, d, most):
+    """n random rows of width d with both labels, each given 1 to ``most``
+    times, the copies shuffled among the others."""
+    x = rng.normal(size=(n, d))
+    y = np.where(rng.uniform(size=n) < 0.5, 1.0, -1.0)
+    y[:2] = 1.0, -1.0
+    rows = rng.permutation(np.repeat(np.arange(n), rng.integers(1, most + 1, n)))
+    return x[rows], y[rows], rows
+
+
+def _solve_every_copy(x, y, spec, c, tol):
+    """The solver's own iterates over every row given, unmerged, to the gap
+    ``tol``: the multipliers, the bias by smo_train's rule and the Gram."""
+    gram = kernel_matrix(spec, x, x)
+    for alpha, _, gap in _pair_updates(gram, y, c):
+        if gap <= tol:
+            break
+    g = (alpha * y) @ gram
+    at_zero, at_c = alpha <= 1e-8 * c, alpha >= c * (1 - 1e-8)
+    free = ~at_zero & ~at_c
+    if free.any():
+        return alpha, float(np.mean(y[free] - g[free])), gram
+    margins = y - g
+    return alpha, 0.5 * (margins[(at_zero & (y > 0)) | (at_c & (y < 0))].max()
+                         + margins[(at_zero & (y < 0)) | (at_c & (y > 0))].min()), gram
+
+
+def test_solve_over_distinct_rows_matches_the_solve_over_every_copy():
+    """Copied rows: smo_train's solve over the distinct rows, each bounded
+    by C times its copies, gives the decision values of the solve over every
+    copy within the default KKT tolerance, 1e-3, and their dual objectives
+    agree within the grid oracle's 1e-6 (both solved to a gap of 1e-6).
+    Every stored |alpha y| is at most C, the sum of alpha y is 0 within the
+    benchmark's dual check, and at most one copy of a row is strictly
+    between 0 and C."""
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 9), d=st.integers(1, 3),
+           most=st.integers(2, 4), kind=st.sampled_from(["rbf", "linear"]),
+           c=st.sampled_from([0.1, 1.0, 10.0]))
+    def check(seed, n, d, most, kind, c):
+        rng = np.random.default_rng(seed)
+        x, y, rows = _copied_problem(rng, n, d, most)
+        m = smo_train(x, y, KernelSpec(kind), c=c, tol=1e-6, max_passes=10 ** 5)
+        assert m.converged
+        alpha_ref, bias_ref, gram = _solve_every_copy(x, y, m.kernel, c, 1e-6)
+        probe = np.vstack([x, rng.normal(size=(10, d))])
+        want = (alpha_ref * y) @ kernel_matrix(m.kernel, x, probe) + bias_ref
+        assert np.abs(decision_function(m, probe) - want).max() <= 1e-3
+        alpha = full_alphas(m, len(y))
+        assert dual_objective(gram, y, alpha) == pytest.approx(
+            dual_objective(gram, y, alpha_ref), abs=1e-6)
+        assert np.abs(m.dual_coef).max() <= c
+        assert abs(m.dual_coef.sum()) <= 1e-9 * c * m.dual_coef.size
+        fractional = (alpha > 0) & (alpha < c)
+        assert np.bincount(rows, weights=fractional, minlength=n).max() <= 1
+    check()
+
+
+def test_rows_given_three_times_build_the_gram_of_the_distinct_rows(monkeypatch):
+    made = []
+    real = svm_mod._mapped_matrix
+    monkeypatch.setattr(svm_mod, "_mapped_matrix",
+                        lambda rows, cols: made.append((rows, cols)) or real(rows, cols))
+    x, y, _ = _cloud_problem()
+    order = np.random.default_rng(5).permutation(3 * len(y))
+    m = smo_train(np.vstack([x, x, x])[order], np.hstack([y, y, y])[order],
+                  KernelSpec.rbf(0.5), c=3.0)
+    assert made == [(len(y), len(y))]
+    assert m.converged and m.support_indices.max() < 3 * len(y)
 
 
 def _solver_iterates(x, y, spec, c, tol=1e-3):
