@@ -19,7 +19,7 @@ output goes through ``say``.
 from __future__ import annotations
 
 import argparse
-import csv
+import math
 import os
 import sys
 import traceback
@@ -44,6 +44,8 @@ from .svm import KernelSpec, predict_labels
 from .training import MODES, SvmConfig, TrainConfig, TrainedModel, model_codes, train_pipeline
 
 TABLE_CACHE = "table_cache.npy"     # train's parsed table, beside model.json
+
+CSV_BLOCK_CELLS = 16_384            # write_csv formats and writes this many cells at a time
 
 INPUT_ERRORS = (InputError, ShapeError, StateError, DegenerateDataError, ConditioningError)
 
@@ -159,16 +161,43 @@ def build_svm_config(cfg: dict) -> SvmConfig:
     return SvmConfig(kernel=kernel, c=s["c"], tol=s["tol"], max_passes=s["max_passes"])
 
 
-def write_csv(path: str, header: list[str], rows) -> None:
-    """Rows of Python ints, floats and strings (``.tolist()`` values, not
-    numpy scalars); a float is written as its shortest round-trip repr."""
+def write_csv(path: str, header: list[str], columns: list) -> None:
+    """Write ``header`` and then one line per row of ``columns``: one or
+    more numpy arrays or sequences of equal length, each of Python strings
+    or of numbers (not numpy scalars). The bytes are those of
+    ``csv.writer`` in its default dialect: CRLF line ends, a field quoted
+    only when it holds a comma, a quote or a line end (inner quotes
+    doubled) or is the empty only field of its line, and a float as its
+    shortest round-trip repr. At most CSV_BLOCK_CELLS cells are formatted
+    and written at a time."""
+    step = max(1, CSV_BLOCK_CELLS // len(columns))
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+            fh.write(_csv_lines([[name] for name in header]))
+            for lo in range(0, len(columns[0]), step):
+                fh.write(_csv_lines([column[lo:lo + step] for column in columns]))
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from exc
+
+
+def _csv_lines(columns: list) -> str:
+    """The CRLF-ended lines of one block of column slices."""
+    lines = list(map(",".join, zip(*map(_csv_cells, columns))))
+    if len(columns) == 1:       # a lone empty field is quoted, so the line is not blank
+        lines = [line or '""' for line in lines]
+    return "\r\n".join(lines) + "\r\n"
+
+
+def _csv_cells(values) -> map:
+    """One column slice's fields: each distinct string quoted once, as
+    needed; each number as its repr."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    if not (values and isinstance(values[0], str)):
+        return map(repr, values)
+    fields = {text: '"' + text.replace('"', '""') + '"'
+              if any(c in text for c in ',"\r\n') else text for text in set(values)}
+    return map(fields.__getitem__, values)
 
 
 def _prepare(cfg: dict, raw: TabularDataset):
@@ -234,8 +263,7 @@ def cmd_preprocess(cfg: dict, args) -> int:
     p, out = prepared.preprocessing, _out_dir(cfg)
     for name, split in (("train", prepared.train), ("test", prepared.test)):
         write_csv(os.path.join(out, f"{name}.csv"), p.kept_names + ["label"],
-                  (row + [lab] for row, lab in zip(split.features.tolist(),
-                                                   split.labels.tolist())))
+                  [*split.features.T, split.labels])
     write_json(os.path.join(out, "preprocess_report.json"), REPORT.dump(p.report))
     say(f"wrote train.csv, test.csv, preprocess_report.json to {out}")
     return 0
@@ -254,8 +282,8 @@ def cmd_train(cfg: dict, args) -> int:
     if model.epoch_logs:
         write_csv(os.path.join(out, "loss_history.csv"),
                   ["epoch", "l_recon", "l_latent", "l_clf", "l_ent", "l_total"],
-                  ((e.epoch, e.recon, e.latent, e.clf, e.ent, e.total)
-                   for e in model.epoch_logs))
+                  list(zip(*((e.epoch, e.recon, e.latent, e.clf, e.ent, e.total)
+                             for e in model.epoch_logs))))
     write_json(os.path.join(out, "preprocess_report.json"),
                REPORT.dump(model.preprocessing.report))
     svm = model.svm
@@ -362,6 +390,9 @@ def cmd_eval(cfg: dict, args) -> int:
                 **report.to_json_dict()})
     say(f"accuracy {report.accuracy:.4f}  macro-F1 {report.f1:.4f}  "
         f"({args.split} split, {labels.shape[0]} rows)")
+    svm = model.svm     # a bundle written before the gap was stored holds NaN
+    gap = "not stored" if math.isnan(svm.kkt_gap) else f"{svm.kkt_gap:.3g}"
+    say(f"svm: KKT gap {gap}, {'converged' if svm.converged else 'not converged'}")
     return 0
 
 
@@ -402,45 +433,42 @@ def cmd_explain(cfg: dict, args) -> int:
                            progress=lambda i: say(f"explain: row {i + 1} of {n_eval}"))
     out = _out_dir(cfg)
     names = attr.feature_names
+    n, d, k = attr.values.shape
     write_csv(os.path.join(out, "attributions.csv"),
               ["sample", "feature", "latent_dim", "value"],
-              ((i, names[j], l, v)
-               for i, sample in enumerate(attr.values.tolist())
-               for j, outputs in enumerate(sample)
-               for l, v in enumerate(outputs)))
+              [np.repeat(np.arange(n), d * k), np.tile(np.repeat(np.array(names, object), k), n),
+               np.tile(np.arange(k), n * d), attr.values.ravel()])
     write_json(os.path.join(out, "base_values.json"),
                {"base_values": attr.base_values.tolist()})
 
     ranking = global_importance(attr)
     write_csv(os.path.join(out, "importance_global.csv"),
               ["rank", "feature", "msv"] + [f"dim_{l}" for l in range(attr.n_outputs)],
-              ((r + 1, f, msv, *per_output) for r, (f, msv, per_output) in enumerate(
-                  zip(ranking.features, ranking.msv.tolist(), ranking.per_output.tolist()))))
+              [np.arange(1, d + 1), ranking.features, ranking.msv, *ranking.per_output.T])
 
     classes = class_conditional_importance(attr, eval_labels)
     fail_msv = dict(zip(classes.failure.features, classes.failure.msv.tolist()))
     succ_msv = dict(zip(classes.success.features, classes.success.msv.tolist()))
     write_csv(os.path.join(out, "importance_class.csv"),
               ["rank", "feature", "contrast", "failure_msv", "success_msv"],
-              ((r + 1, f, c, fail_msv[f], succ_msv[f]) for r, (f, c) in enumerate(
-                  zip(classes.contrast_features, classes.contrast.tolist()))))
+              [np.arange(1, d + 1), classes.contrast_features, classes.contrast,
+               [fail_msv[f] for f in classes.contrast_features],
+               [succ_msv[f] for f in classes.contrast_features]])
 
-    eval_rows = eval_x.tolist()
-    for dim in (d for d in e["beeswarm_dims"] if d < attr.n_outputs):
+    for dim in (dim for dim in e["beeswarm_dims"] if dim < k):
         write_csv(os.path.join(out, f"beeswarm_dim_{dim}.csv"),
                   ["sample", "feature", "feature_value", "shap_value"],
-                  ((i, names[j], fv, sv)
-                   for i, (row, shap) in enumerate(zip(eval_rows,
-                                                       attr.values[:, :, dim].tolist()))
-                   for j, (fv, sv) in enumerate(zip(row, shap))))
+                  [np.repeat(np.arange(n), d), np.tile(np.array(names, object), n),
+                   eval_x.ravel(), attr.values[:, :, dim].ravel()])
 
     feat_idx = ranking.order[0] if feat is None else feat
     color_idx = (ranking.order[1] if color is None and len(ranking.order) > 1
                  else feat_idx if color is None else color)
-    rows = dependence_export(attr, eval_x, int(feat_idx), int(color_idx), output)
+    fv, sv, cv = np.array(dependence_export(attr, eval_x, int(feat_idx), int(color_idx),
+                                            output)).reshape(n, 3).T
     write_csv(os.path.join(out, "dependence.csv"),
               ["feature", "feature_value", "attribution", "color_feature", "color_value"],
-              ((names[int(feat_idx)], fv, sv, names[int(color_idx)], cv) for fv, sv, cv in rows))
+              [[names[int(feat_idx)]] * n, fv, sv, [names[int(color_idx)]] * n, cv])
     say(f"wrote attribution exports for {n_eval} samples to {out}")
     return 0
 
@@ -451,7 +479,7 @@ def cmd_project(cfg: dict, args) -> int:
     export = project_export(projection, codes, labels)
     out = _out_dir(cfg)
     write_csv(os.path.join(out, "lda_projection.csv"), ["projection", "label"],
-              export["rows"])
+              [[v for v, _ in export["rows"]], [label for _, label in export["rows"]]])
     write_json(os.path.join(out, "lda_summary.json"),
                {"split": args.split, **export["summary"]})
     say(f"dprime {export['summary']['dprime']:.4f} on {args.split} split")

@@ -3,6 +3,8 @@
 A tiny two-cloud CSV stands in for real line data: four informative
 columns plus one mostly-missing column the census must drop.
 """
+import csv
+import io
 import json
 import math
 import os
@@ -155,6 +157,23 @@ def test_eval_can_fall_back_to_recorded_dataset(workspace, trained):
     assert json.load(open(os.path.join(out, "metrics.json")))["n_rows"] == 24
 
 
+@pytest.mark.parametrize("edit,line", [
+    (lambda svm: None, "svm: KKT gap {gap:.3g}, converged"),
+    (lambda svm: svm.update(converged=False), "svm: KKT gap {gap:.3g}, not converged"),
+    (lambda svm: svm.pop("kkt_gap"), "svm: KKT gap not stored, converged"),
+], ids=["stored", "unconverged", "written-before-the-gap"])
+def test_eval_reports_the_stored_svm_state(workspace, trained, tmp_path, capsys, edit, line):
+    doc = json.load(open(os.path.join(trained, "model.json")))
+    gap = doc["svm"]["kkt_gap"]
+    assert doc["svm"]["converged"] is True and gap > 0
+    edit(doc["svm"])
+    (tmp_path / "model.json").write_text(json.dumps(doc))
+    rc = main(["eval", "--dataset", workspace["data"], "--model", str(tmp_path / "model.json"),
+               "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines()[-1] == line.format(gap=gap)
+
+
 def test_explain_exports(workspace, trained):
     out = str(workspace["root"] / "explain_out")
     rc = main(["explain", "--dataset", workspace["data"], "--config",
@@ -222,6 +241,41 @@ def test_project_exports(workspace, trained):
     assert set(summary) == {"split", "mean0", "mean1", "std0", "std1",
                             "threshold", "dprime"}
     assert summary["dprime"] > 1.0
+
+
+def test_every_csv_export_is_csv_writer_bytes_with_a_quoted_name(tmp_path, capsys):
+    """A kept column named with a double quote goes through preprocess,
+    train and explain: every CSV they write is the bytes csv.writer writes
+    for the rows csv.reader reads back, and the name survives."""
+    data = _write_dataset(str(tmp_path / "quoted.csv"))
+    with open(data, encoding="utf-8") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    lines[0] = lines[0].replace(",f0,", ',temp "A",')
+    with open(data, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
+    config = _write_config(str(tmp_path / "c.json"))
+    with open(config, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["explain"]["dependence_feature"] = 'temp "A"'
+    with open(config, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    common = ["--dataset", f"csv:{data}", "--config", config, "--seed", "5",
+              "--out", str(tmp_path / "out")]
+    for argv in (["preprocess"], ["train", "--epochs", "2"], ["explain", "--n-eval", "2"]):
+        assert main([*argv, *common]) == 0
+    capsys.readouterr()
+    names = sorted(n for n in os.listdir(tmp_path / "out") if n.endswith(".csv"))
+    assert len(names) == 9      # train, test, loss_history and six explain tables
+    for name in names:
+        written = (tmp_path / "out" / name).read_bytes()
+        with open(tmp_path / "out" / name, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        buf = io.StringIO(newline="")
+        csv.writer(buf).writerows(rows)
+        assert written == buf.getvalue().encode("utf-8"), name
+        if name != "loss_history.csv":
+            assert 'temp "A"' in {cell for row in rows for cell in row}, name
+    assert b'"temp ""A"""' in (tmp_path / "out" / "train.csv").read_bytes()
 
 
 def test_bad_dataset_spec_is_input_error(workspace, capsys):

@@ -152,6 +152,32 @@ def test_one_json_reader_and_one_rule_set():
                     if _is_value_test(node)]
 
 
+def _is_csv_writing(node) -> bool:
+    """An import of ``csv`` or a use of a ``writer``, ``writerow`` or
+    ``writerows``."""
+    return (isinstance(node, ast.Import) and any(a.name == "csv" for a in node.names)
+            or isinstance(node, ast.ImportFrom) and node.module == "csv"
+            or isinstance(node, ast.Attribute) and node.attr in ("writer", "writerow", "writerows")
+            or isinstance(node, ast.Name) and node.id in ("writer", "writerow", "writerows"))
+
+
+def test_one_csv_writer():
+    """``cli.write_csv`` is the one CSV writer: it is defined once, and no
+    module of the package imports ``csv`` or calls ``csv.writer``."""
+    definitions, offenders = [], []
+    for filename in sorted(os.listdir(SRC)):
+        if not filename.endswith(".py"):
+            continue
+        with open(os.path.join(SRC, filename), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        definitions += [f"{filename[:-3]}.{node.name}" for node in ast.walk(tree)
+                        if isinstance(node, ast.FunctionDef) and node.name == "write_csv"]
+        offenders += [f"{filename}:{node.lineno}" for node in ast.walk(tree)
+                      if _is_csv_writing(node)]
+    assert definitions == ["cli.write_csv"]
+    assert offenders == []
+
+
 def test_only_blas_imports_threading():
     """``blas.in_lanes`` is the one lane runner: no other module of the
     package imports ``threading`` (or ``_thread``, or ``concurrent``)."""
